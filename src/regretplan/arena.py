@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ArenaTooLarge, NotAPlay
 from .formula import Dfa
-from .model import Pkwts, initial_knowledge, skeleton
+from .model import Pkwts, skeleton
 
 DEFAULT_VERTEX_CAP = 5_000_000
 
@@ -31,7 +31,6 @@ class Arena:
     accepting: tuple         # sorted agent vertex ids with accepting q
     fwd: tuple               # id -> tuple of (succ id, weight), sorted by succ
     rev: tuple               # id -> tuple of (pred id, weight), sorted by pred
-    base: tuple              # constant part of the knowledge record
     index: dict              # vertex tuple -> id
 
     @property
@@ -56,7 +55,6 @@ class Arena:
 def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP) -> Arena:
     """Breadth-first construction of everything reachable from the start."""
     lab = [a.letter_index(m.labels[x]) for x in range(m.n)]
-    k0 = initial_knowledge(m)
 
     def obs_of(x, sfx):
         if len(m.patterns[x]) == 1:
@@ -128,7 +126,6 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP) -> Arena:
         accepting=accepting,
         fwd=tuple(tuple(lst) for lst in fwd),
         rev=tuple(tuple(lst) for lst in rev),
-        base=k0.base,
         index=index,
     )
 

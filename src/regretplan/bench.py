@@ -166,7 +166,6 @@ def sample_env(m: Pkwts, p_obstacle: float, seed: int) -> Wts:
         successors=successors,
         weights=m.weights,
         labels=m.labels,
-        denominator=m.denominator,
     )
 
 

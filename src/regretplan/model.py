@@ -1,8 +1,7 @@
 """World models: concrete transition systems, possible-world models with
 successor patterns, knowledge bookkeeping, task products, and shortest paths.
 
-Weights are nonnegative integers (scaled by a model-level denominator when
-fractional costs are needed).  Zero weight is reserved for designated
+Weights are nonnegative integers.  Zero weight is reserved for designated
 self-loops at labeled goal states; every movement edge costs at least one
 unit.
 """
@@ -52,7 +51,6 @@ class Wts:
     successors: tuple
     weights: dict
     labels: tuple
-    denominator: int = 1
 
     def __post_init__(self):
         if not (0 <= self.initial < self.n):
@@ -80,7 +78,6 @@ class Wts:
             patterns=tuple((succ,) for succ in self.successors),
             weights=self.weights,
             labels=self.labels,
-            denominator=self.denominator,
         )
 
 
@@ -97,7 +94,6 @@ class Pkwts:
     patterns: tuple
     weights: dict
     labels: tuple
-    denominator: int = 1
     coins: tuple = ()
 
     def __post_init__(self):
@@ -218,7 +214,6 @@ def refine(m: Pkwts, k: KnowledgeSet) -> Pkwts:
         patterns=patterns,
         weights=m.weights,
         labels=m.labels,
-        denominator=m.denominator,
         coins=m.coins,
     )
 
@@ -253,7 +248,6 @@ def skeleton(m: Pkwts) -> Wts:
         successors=successors,
         weights=m.weights,
         labels=m.labels,
-        denominator=m.denominator,
     )
 
 
@@ -277,7 +271,6 @@ def compatible_envs(m: Pkwts, cap: int = DEFAULT_UNKNOWN_CAP):
                 successors=successors,
                 weights=m.weights,
                 labels=m.labels,
-                denominator=m.denominator,
             )
         )
     return envs
@@ -309,7 +302,7 @@ class Product:
         src = self.initial if source is None else source
         if src not in self.adj:
             return INF
-        dist, _ = dijkstra(self.adj, src, self.accepting)
+        dist, _ = dijkstra(self.adj, src)
         return min((dist[s] for s in self.accepting if s in dist), default=INF)
 
 
@@ -347,7 +340,7 @@ def shortest_satisfying_cost(t: Wts, a: Dfa):
 # ---------------------------------------------------------------------------
 # shortest paths
 
-def dijkstra(adj: Mapping, source, targets=()):
+def dijkstra(adj: Mapping, source):
     """Single-source shortest distances with deterministic tie-breaking.
 
     ``adj`` maps a vertex to an iterable of (successor, weight) pairs.
@@ -378,7 +371,7 @@ def dijkstra(adj: Mapping, source, targets=()):
 
 def shortest_path_to(adj: Mapping, source, targets):
     """Cheapest path from source to the target set; (cost, path) or (INF, None)."""
-    dist, pred = dijkstra(adj, source, targets)
+    dist, pred = dijkstra(adj, source)
     best = None
     for s in targets:
         if s in dist and (best is None or (dist[s], s) < (dist[best], best)):
@@ -410,8 +403,6 @@ def model_to_json(m: Pkwts) -> dict:
             for (x, y), w in sorted(m.weights.items())
         ],
     }
-    if m.denominator != 1:
-        data["denominator"] = m.denominator
     if m.coins:
         data["coins"] = [list(c) for c in m.coins]
     return data
@@ -432,7 +423,6 @@ def model_from_json(data: dict) -> Pkwts:
         patterns=patterns,
         weights=weights,
         labels=labels,
-        denominator=data.get("denominator", 1),
         coins=tuple(tuple(c) for c in data.get("coins", ())),
     )
 
@@ -451,7 +441,6 @@ def wts_from_json(data: dict) -> Wts:
         successors=tuple(m.patterns[x][0] for x in range(m.n)),
         weights=m.weights,
         labels=m.labels,
-        denominator=m.denominator,
     )
 
 

@@ -1,6 +1,7 @@
 """Strategy synthesis on the knowledge-based arena.
 
-Three objectives share one value-iteration core:
+Regret and worst case share one game solver, a Dijkstra-order min-max
+solve; the best case plans on the refined skeleton:
 
 * regret: reweight edges so that finite-cost plays are exactly the
   shortest plays, with each accepting edge charged the gap between that
@@ -32,6 +33,7 @@ from .model import (
     KnowledgeSet,
     Pkwts,
     compatible_envs,
+    dijkstra,
     initial_knowledge,
     product,
     refine,
@@ -145,52 +147,38 @@ def best_response(m: Pkwts, a: Dfa, k: KnowledgeSet, mode: str = "exact"):
 class EspResult(NamedTuple):
     edges: set        # edges on some cheapest play from the start to a final
     dist: dict        # forward distances from the initial vertex
-    potential: dict   # min over finals of (backward distance - final distance)
 
 
 def compute_e_sp(arena: Arena) -> EspResult:
-    fadj = {u: arena.fwd[u] for u in range(arena.n)}
-    dist, _ = _dijkstra_multi(fadj, {arena.v0: 0})
-    seeds = {v: -dist[v] for v in arena.accepting if v in dist}
-    if not seeds:
-        raise UnrealizableTask("no accepting vertex is reachable")
-    radj = {u: arena.rev[u] for u in range(arena.n)}
-    potential = _dijkstra_multi(radj, seeds)[0]
-    edges = set()
-    for u, v, w in arena.edges():
-        if u not in dist or v not in potential:
-            continue
-        slack = dist[u] + w + potential[v]
-        if slack < 0:
-            raise SolverInvariantError(f"negative slack {slack} on edge ({u},{v})")
-        if slack == 0:
-            edges.add((u, v))
-    return EspResult(edges=edges, dist=dist, potential=potential)
+    """Shortest-play edges: the tight edges (``dist[u] + w == dist[v]``)
+    from which a path of tight edges reaches a reachable accepting vertex.
 
-
-def _dijkstra_multi(adj, seeds):
-    """Dijkstra from several seeds with (possibly negative) start offsets.
-
-    Edge weights must be nonnegative, which keeps pop order final even
-    when seed offsets differ in sign.
+    Along any path the slack ``dist[u] + w - dist[v]`` is nonnegative and
+    telescopes, so a path from v0 is a cheapest play to its end exactly
+    when every edge on it is tight.
     """
-    dist = dict(seeds)
-    pred = {v: None for v in seeds}
-    heap = [(d, v) for v, d in sorted(seeds.items())]
-    heapq.heapify(heap)
-    done = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in adj.get(u, ()):
-            nd = d + w
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
-    return dist, pred
+    dist, _ = dijkstra(dict(enumerate(arena.fwd)), arena.v0)
+    for u, out in enumerate(arena.fwd):
+        if u in dist:
+            for v, w in out:
+                if dist[u] + w < dist[v]:
+                    raise SolverInvariantError(
+                        f"edge ({u},{v}) undercuts the shortest distance to {v}")
+    finals = [v for v in arena.accepting if v in dist]
+    if not finals:
+        raise UnrealizableTask("no accepting vertex is reachable")
+    edges = set()
+    on_play = set(finals)
+    stack = finals
+    while stack:
+        v = stack.pop()
+        for u, w in arena.rev[v]:
+            if dist[u] + w == dist[v]:
+                edges.add((u, v))
+                if u not in on_play:
+                    on_play.add(u)
+                    stack.append(u)
+    return EspResult(edges=edges, dist=dist)
 
 
 def build_mu(arena: Arena, esp: EspResult, br_fn) -> dict:
@@ -218,61 +206,63 @@ def build_mu(arena: Arena, esp: EspResult, br_fn) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# min-max value iteration (Algorithm: env maximizes, agent minimizes,
-# accepting vertices pinned to zero)
+# min-max game solve (env maximizes, agent minimizes, accepting vertices
+# pinned to zero)
 
 class MinMaxResult(NamedTuple):
     values: list
     choices: dict   # agent vertex id -> successor id, or None for stop
-    sweeps: int
+    sweeps: int     # vertices settled, i.e. vertices with a finite value
 
 
 def solve_minmax(arena: Arena, weights: dict) -> MinMaxResult:
+    """Min-cost reachability game with nonnegative weights, solved in
+    Dijkstra order (Khachiyan et al., ToCS 2008; Brihaye et al., Acta
+    Informatica 2017).
+
+    Vertices settle in nondecreasing value from the accepting ones.  An
+    agent vertex settles at its first pop, which is its cheapest move; an
+    env vertex is pushed once its last successor has settled, at the
+    largest ``value + weight``.  An infinite edge, or a successor that
+    never settles, leaves a vertex at INF.  Each vertex settles at most
+    once, so ``sweeps`` counts the vertices with a finite value.
+    """
     n = arena.n
     accepting = set(arena.accepting)
-    values = [INF] * n
+    values = [INF] * n  # final once settled; an agent's best offer before
     for v in accepting:
         values[v] = 0
-
-    # aligned successor arrays; dict lookups are too slow inside the sweeps
-    succ_ids = []
-    succ_w = []
-    kind_min = []
-    for v in range(n):
-        out = arena.fwd[v]
-        succ_ids.append([t for t, _ in out])
-        succ_w.append([weights[(v, t)] for t, _ in out])
-        kind_min.append(arena.is_agent(v))
-    active = [v for v in range(n) if v not in accepting]
-    # updating deep vertices first (reverse discovery order) propagates a
-    # whole play per sweep; values only ever decrease, so updating in
-    # place reaches the same fixpoint as simultaneous sweeps
-    active.reverse()
-
+    is_agent = [vt[0] == AGENT for vt in arena.vertices]
+    unsettled_succs = [len(out) for out in arena.fwd]
+    worst = [0] * n  # env: max of value + weight over settled successors
+    settled = [False] * n
+    heap = [(0, v) for v in arena.accepting]
     sweeps = 0
-    while True:
-        changed = False
-        for v in active:
-            ids = succ_ids[v]
-            ws = succ_w[v]
-            best = values[ids[0]] + ws[0]
-            if kind_min[v]:
-                for i in range(1, len(ids)):
-                    cand = values[ids[i]] + ws[i]
-                    if cand < best:
-                        best = cand
-            else:
-                for i in range(1, len(ids)):
-                    cand = values[ids[i]] + ws[i]
-                    if cand > best:
-                        best = cand
-            if best != values[v]:
-                values[v] = best
-                changed = True
+    while heap:
+        d, v = heapq.heappop(heap)
+        if settled[v]:
+            continue
+        settled[v] = True
+        values[v] = d
         sweeps += 1
-        if not changed:
-            break
-    log.debug("min-max fixpoint after %d sweeps over %d vertices", sweeps, n)
+        for u, _ in arena.rev[v]:
+            if settled[u]:
+                continue
+            w = weights[(u, v)]
+            if w == INF:
+                continue
+            cand = d + w
+            if is_agent[u]:
+                if cand < values[u]:
+                    values[u] = cand
+                    heapq.heappush(heap, (cand, u))
+            else:
+                if cand > worst[u]:
+                    worst[u] = cand
+                unsettled_succs[u] -= 1
+                if unsettled_succs[u] == 0:
+                    heapq.heappush(heap, (worst[u], u))
+    log.debug("min-max settled %d of %d vertices", sweeps, n)
 
     choices = {}
     for v in range(n):
@@ -328,11 +318,9 @@ def _reachable_decisions(arena: Arena, choices: dict) -> dict:
 # ---------------------------------------------------------------------------
 # the three synthesis entry points
 
-def solve_regret(m: Pkwts, a: Dfa, br_mode: str = "exact",
-                 arena_cap: int = None):
+def solve_regret(m: Pkwts, a: Dfa, br_mode: str = "exact"):
     """Regret-minimizing strategy and its regret value."""
-    kwargs = {} if arena_cap is None else {"cap": arena_cap}
-    arena = build_arena(m, a, **kwargs)
+    arena = build_arena(m, a)
     esp = compute_e_sp(arena)
     br_fn = BestResponse(m, a, mode=br_mode)
     mu = build_mu(arena, esp, br_fn)
@@ -348,10 +336,9 @@ def solve_regret(m: Pkwts, a: Dfa, br_mode: str = "exact",
     return strategy, value
 
 
-def solve_worst_case(m: Pkwts, a: Dfa, arena_cap: int = None):
+def solve_worst_case(m: Pkwts, a: Dfa):
     """Strategy minimizing the worst-case total cost, and that cost."""
-    kwargs = {} if arena_cap is None else {"cap": arena_cap}
-    arena = build_arena(m, a, **kwargs)
+    arena = build_arena(m, a)
     weights = {(u, v): w for u, v, w in arena.edges()}
     result = solve_minmax(arena, weights)
     value = result.values[arena.v0]

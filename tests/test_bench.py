@@ -1,5 +1,6 @@
 """Random generation, environment sampling, and the comparison harness."""
 
+import hashlib
 import math
 
 import pytest
@@ -120,6 +121,15 @@ def test_run_benchmark_shape_and_determinism():
     assert csv1 == bench.rows_to_csv(rows2)
     header = csv1.splitlines()[0]
     assert header == "states,p,trial_count,strategy,mean_cost,stderr,skips"
+
+
+def test_run_benchmark_csv_golden_digest():
+    # the bench CSV is part of the contract, byte for byte
+    config = bench.BenchConfig(states=(15,), p_values=(0.2, 0.5, 0.8),
+                               trials=20, seed=7)
+    csv = bench.rows_to_csv(bench.run_benchmark(config))
+    assert hashlib.sha256(csv.encode()).hexdigest() == \
+        "a9708f26d39486decae9d3f6b9077d07449b5800dc998de87596c8f90ddc642f"
 
 
 def test_run_benchmark_single_trial_best_vs_worst():

@@ -1,5 +1,8 @@
 """ASCII map ingestion and the two bundled map fixtures."""
 
+import hashlib
+import json
+
 import pytest
 
 from regretplan import bench, fixtures
@@ -162,12 +165,24 @@ def case_env(m, open_pairs):
     )
 
 
+def strategy_digest(strategy):
+    text = json.dumps(strategy.to_json(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_case_study_exploration_and_cost_orderings(case_study):
     m, dfa = case_study
     assert len(m.coins) == 2
-    regret_strategy, _ = sv.solve_regret(m, dfa)
-    worst_strategy, _ = sv.solve_worst_case(m, dfa)
+    regret_strategy, regret_value = sv.solve_regret(m, dfa)
+    worst_strategy, worst_value = sv.solve_worst_case(m, dfa)
     best = sv.best_case_policy(m, dfa)
+    # golden digests: the strategy JSON is part of the contract, byte for byte
+    assert (regret_value, len(regret_strategy.decisions)) == (4, 52)
+    assert strategy_digest(regret_strategy) == \
+        "19283849b9a8a62a77b14ac863fdd3441284604763be8800250f5d2982d0ba0a"
+    assert (worst_value, len(worst_strategy.decisions)) == (22, 23)
+    assert strategy_digest(worst_strategy) == \
+        "8a8a663e7c4dc6aab740a1c8661b34cc688b831a3f017f4a2527c181f25720fb"
     regions = [set(m.coins[0]), set(m.coins[1])]
 
     showcased = {

@@ -1,11 +1,14 @@
 """Regret, worst-case, and best-case synthesis on the T3 scenario."""
 
+import heapq
 import math
+from random import Random
 
 import pytest
 
 from regretplan import arena as ar
-from regretplan import fixtures
+from regretplan import bench, fixtures
+from regretplan import grid as gr
 from regretplan import model as md
 from regretplan import solver as sv
 from regretplan.errors import StuckNoPath, UnrealizableTask
@@ -195,8 +198,13 @@ def test_minmax_worst_objective(t3, dfa, t3_arena):
 
 
 def test_minmax_converges_within_vertex_count(t3, dfa, t3_arena):
-    weights = {(u, v): w for u, v, w in t3_arena.edges()}
-    assert sv.solve_minmax(t3_arena, weights).sweeps <= t3_arena.n
+    # each vertex settles at most once, and exactly the vertices with a
+    # finite value settle
+    mu, _ = mu_for(t3, dfa, t3_arena)
+    for weights in ({(u, v): w for u, v, w in t3_arena.edges()}, mu):
+        result = sv.solve_minmax(t3_arena, weights)
+        finite = sum(value < INF for value in result.values)
+        assert result.sweeps == finite <= t3_arena.n
 
 
 # ---------------------------------------------------------------------------
@@ -309,34 +317,123 @@ def test_skeleton_mode_matches_exact_on_t3(t3, dfa):
     assert s_exact.decisions == s_skel.decisions
 
 
-def naive_backward_regret(m, dfa):
-    """Min-max of (play cost - terminal best response) computed by plain
-    backward iteration over the original weights."""
-    arena = ar.build_arena(m, dfa)
-    br = sv.BestResponse(m, dfa)
+def backward_values(arena, weights, terminal):
+    """Min-max value iteration from INF with each accepting vertex pinned
+    to ``terminal(v)``: env maximizes and agent minimizes value + weight.
+    Values only decrease, so in-place updates reach the greatest fixpoint."""
     acc = set(arena.accepting)
     values = [INF] * arena.n
     for v in acc:
-        values[v] = -br(arena.vertices[v][3])
+        values[v] = terminal(v)
     order = [v for v in range(arena.n) if v not in acc]
     order.reverse()
     while True:
         changed = False
         for v in order:
-            out = arena.fwd[v]
-            if arena.is_agent(v):
-                val = min(values[t] for t, _ in out)
-            else:
-                val = max(
-                    (values[t] + w) if values[t] != INF else INF
-                    for t, w in out
-                )
+            cands = [values[t] + weights[(v, t)] for t, _ in arena.fwd[v]]
+            val = min(cands) if arena.is_agent(v) else max(cands)
             if val != values[v]:
                 values[v] = val
                 changed = True
         if not changed:
-            break
+            return values
+
+
+def naive_backward_regret(m, dfa):
+    """Min-max of (play cost - terminal best response) computed by plain
+    backward iteration over the original weights."""
+    arena = ar.build_arena(m, dfa)
+    br = sv.BestResponse(m, dfa)
+    weights = {(u, v): w for u, v, w in arena.edges()}
+    values = backward_values(arena, weights,
+                             lambda v: -br(arena.vertices[v][3]))
     return values[arena.v0]
+
+
+def reference_minmax(arena, weights):
+    """Value-iteration reference for solve_minmax, with the same choice
+    rule: the first successor by id that attains the value, skipping an
+    env vertex whose only move returns to the deciding vertex."""
+    values = backward_values(arena, weights, lambda v: 0)
+    acc = set(arena.accepting)
+    choices = {}
+    for v in range(arena.n):
+        if not arena.is_agent(v):
+            continue
+        if v in acc:
+            choices[v] = None
+        elif values[v] < INF:
+            choices[v] = next(
+                t for t, _ in arena.fwd[v]
+                if [s for s, _ in arena.fwd[t]] != [v]
+                and values[t] + weights[(v, t)] == values[v])
+    return values, choices
+
+
+def reference_e_sp(arena):
+    """Slack reference for compute_e_sp: forward distances, and a reverse
+    Dijkstra seeded at -dist[f] on each final f gives the potential
+    p[v] = min over f of (d(v, f) - dist[f]).  An edge is on a cheapest
+    play to some final exactly when dist[u] + w + p[v] == 0."""
+    def dijkstra_from(adj, seeds):
+        dist = dict(seeds)
+        heap = [(d, v) for v, d in sorted(seeds.items())]
+        heapq.heapify(heap)
+        done = set()
+        while heap:
+            d, u = heapq.heappop(heap)
+            if u in done:
+                continue
+            done.add(u)
+            for v, w in adj[u]:
+                if v not in dist or d + w < dist[v]:
+                    dist[v] = d + w
+                    heapq.heappush(heap, (d + w, v))
+        return dist
+
+    dist = dijkstra_from(arena.fwd, {arena.v0: 0})
+    seeds = {v: -dist[v] for v in arena.accepting if v in dist}
+    if not seeds:
+        raise UnrealizableTask("no accepting vertex is reachable")
+    potential = dijkstra_from(arena.rev, seeds)
+    edges = set()
+    for u, v, w in arena.edges():
+        if u in dist and v in potential:
+            slack = dist[u] + w + potential[v]
+            assert slack >= 0
+            if slack == 0:
+                edges.add((u, v))
+    return edges, dist
+
+
+def random_models():
+    models = []
+    for seed in range(40):
+        params = bench.GenParams(n_states=5 + seed % 3, n_possible=seed % 3,
+                                 min_cost=1, max_cost=9, seed=seed)
+        cand = bench._candidate(Random(seed), params)
+        if cand is not None:
+            models.append(cand)
+    return models
+
+
+def test_solvers_match_value_iteration_and_slack_references(dfa):
+    # the Dijkstra game solve and the tight-edge E_sp against the
+    # value-iteration and two-Dijkstra algorithms, under both movement
+    # and regret weights
+    cases = [(fixtures.t3(), dfa),
+             (gr.grid_compile(fixtures.FIG1_GRID),
+              to_dfa(parse(fixtures.FIG1_TASK), {"f"}))]
+    cases += [(m, dfa) for m in random_models()]
+    for m, a in cases:
+        arena = ar.build_arena(m, a)
+        esp = sv.compute_e_sp(arena)
+        assert (esp.edges, esp.dist) == reference_e_sp(arena)
+        movement = {(u, v): w for u, v, w in arena.edges()}
+        mu = sv.build_mu(arena, esp, sv.BestResponse(m, a))
+        for weights in (movement, mu):
+            result = sv.solve_minmax(arena, weights)
+            assert (result.values, result.choices) == reference_minmax(arena, weights)
 
 
 def test_shortest_play_reweighting_agrees_with_direct_recursion(t3, dfa):
@@ -350,17 +447,7 @@ def test_shortest_play_reweighting_agrees_with_direct_recursion(t3, dfa):
 
 def test_unrealizable_iff_no_winning_strategy(dfa):
     # infinite regret coincides with the worst-case game being lost
-    import regretplan.bench as bench
-
-    rng_models = []
-    for seed in range(40):
-        params = bench.GenParams(n_states=5 + seed % 3, n_possible=seed % 3,
-                                 min_cost=1, max_cost=9, seed=seed)
-        from random import Random
-        cand = bench._candidate(Random(seed), params)
-        if cand is not None:
-            rng_models.append(cand)
-    rng_models.append(trap_model())
+    rng_models = random_models() + [trap_model()]
     checked_unrealizable = 0
     for m in rng_models:
         try:
