@@ -2,15 +2,27 @@
 
 A bipartite graph alternating agent moves (commit to a successor) and
 environment moves (reveal the successor pattern at a newly explored
-state).  Vertices carry the physical state, the automaton state, and the
-exploration suffix of the knowledge record; they are interned so shared
-knowledge prefixes cost nothing extra.
+state).  A vertex carries the physical state, the automaton state and
+the exploration suffix of the knowledge record; an env vertex also
+carries the committed successor.
+
+Storage is flat.  Each knowledge suffix is interned once as an integer
+id in a trie keyed by (parent id, state, pattern index), with one row
+giving the observed pattern index of every state.  Vertices are numbered
+breadth-first and kept as parallel integer columns.  During the build
+only agent vertices are looked up, by one integer key: an env vertex has
+a single predecessor and is created once.  Edges are compressed sparse
+rows in vertex order, each row sorted by target, so an edge is an
+integer slot; a reverse index lists, per target, the slots entering it
+in order of source.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import ArenaTooLarge, NotAPlay
 from .formula import Dfa
@@ -22,111 +34,172 @@ AGENT = "a"
 ENV = "e"
 
 
+class _Rows:
+    """Forward adjacency view: ``rows[u]`` lists u's (successor, weight)
+    pairs; ``get`` lets ``model.dijkstra`` read it as a mapping, in which
+    every vertex id has a row."""
+
+    def __init__(self, start, dst, wt):
+        self._start, self._dst, self._wt = start, dst, wt
+
+    def __len__(self):
+        return len(self._start) - 1
+
+    def __getitem__(self, u):
+        return list(self.get(u))
+
+    def get(self, u, default=None):
+        s, e = self._start[u], self._start[u + 1]
+        return zip(self._dst[s:e], self._wt[s:e])
+
+    def __iter__(self):
+        return (self[u] for u in range(len(self)))
+
+
 @dataclass(frozen=True, eq=False)
 class Arena:
     """Reachable game graph with movement weights on env->agent edges."""
 
-    vertices: tuple          # id -> (AGENT, x, q, sfx) | (ENV, x, q, sfx, xhat)
+    kind: bytearray          # id -> 0 on agent vertices, 1 on env vertices
+    x: array                 # id -> physical state
+    q: array                 # id -> automaton state
+    sfx: array               # id -> knowledge suffix id
+    xhat: array              # id -> committed successor (env), -1 (agent)
+    suffixes: tuple          # suffix id -> ((state, pattern), ...) in order
     v0: int
     accepting: tuple         # sorted agent vertex ids with accepting q
-    fwd: tuple               # id -> tuple of (succ id, weight), sorted by succ
-    rev: tuple               # id -> tuple of (pred id, weight), sorted by pred
-    index: dict              # vertex tuple -> id
+    start: array             # id -> first edge slot of its row; [n] = edges
+    src: array               # edge slot -> source id
+    dst: array               # edge slot -> target id, sorted within a row
+    wt: list                 # edge slot -> movement weight, 0 on commitments
+    rev_start: array         # id -> first entry of its row in rev_edge
+    rev_edge: array          # slots entering each vertex, sorted by source
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.kind)
+
+    @property
+    def fwd(self) -> _Rows:
+        return _Rows(self.start, self.dst, self.wt)
 
     def is_agent(self, v: int) -> bool:
-        return self.vertices[v][0] == AGENT
+        return not self.kind[v]
 
-    def edge_weight(self, u: int, v: int):
-        for t, w in self.fwd[u]:
-            if t == v:
-                return w
+    def vertex(self, v: int) -> tuple:
+        """(AGENT, x, q, suffix) or (ENV, x, q, suffix, xhat)."""
+        sfx = self.suffixes[self.sfx[v]]
+        if self.kind[v]:
+            return (ENV, self.x[v], self.q[v], sfx, self.xhat[v])
+        return (AGENT, self.x[v], self.q[v], sfx)
+
+    def id_of(self, vt) -> int:
+        """Id of a vertex tuple; KeyError if absent.  A linear scan, for
+        tests and tools."""
+        for v in range(self.n):
+            if self.vertex(v) == vt:
+                return v
+        raise KeyError(vt)
+
+    def edge_slot(self, u: int, v: int):
+        """Slot of the edge (u, v), or None."""
+        for e in range(self.start[u], self.start[u + 1]):
+            if self.dst[e] == v:
+                return e
         return None
 
     def edges(self):
-        for u, out in enumerate(self.fwd):
-            for v, w in out:
-                yield u, v, w
+        """(u, v, weight) in slot order."""
+        return zip(self.src, self.dst, self.wt)
 
 
 def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP) -> Arena:
     """Breadth-first construction of everything reachable from the start."""
     lab = [a.letter_index(m.labels[x]) for x in range(m.n)]
+    patterns = m.patterns
 
-    def obs_of(x, sfx):
-        if len(m.patterns[x]) == 1:
-            return m.patterns[x][0]
-        for s, o in sfx:
-            if s == x:
-                return o
-        return None
+    # knowledge trie: suffix id -> observed pattern index per state (-1
+    # while unexplored) and the suffix itself
+    rows = [array("i", [0 if len(p) == 1 else -1 for p in patterns])]
+    suffixes = [()]
+    children = {}  # (parent id, state, pattern index) -> suffix id
 
-    v0 = (AGENT, m.initial, a.trans[a.initial][lab[m.initial]], ())
-    index = {v0: 0}
-    vertices = [v0]
-    edges = []  # (u, v, w)
-    queue = [0]
-    head = 0
+    def explore(sid, x, p):
+        key = (sid, x, p)
+        child = children.get(key)
+        if child is None:
+            child = children[key] = len(suffixes)
+            row = array("i", rows[sid])
+            row[x] = p
+            rows.append(row)
+            suffixes.append(suffixes[sid] + ((x, patterns[x][p]),))
+        return child
 
-    def intern(vt):
-        vid = index.get(vt)
-        if vid is None:
-            vid = len(vertices)
-            if vid >= cap:
-                raise ArenaTooLarge(f"arena exceeded {cap} vertices")
-            index[vt] = vid
-            vertices.append(vt)
-            queue.append(vid)
+    kind = bytearray()
+    xs, qs, sfxs, xhats = array("i"), array("i"), array("i"), array("i")
+    agent_ids = {}  # (sfx * |Q| + q) * |X| + x -> agent vertex id
+
+    def add(k, x, q, sid, xhat):
+        vid = len(kind)
+        if vid >= cap:
+            raise ArenaTooLarge(f"arena exceeded {cap} vertices")
+        kind.append(k)
+        xs.append(x)
+        qs.append(q)
+        sfxs.append(sid)
+        xhats.append(xhat)
         return vid
 
-    while head < len(queue):
-        vid = queue[head]
-        head += 1
-        vt = vertices[vid]
-        if vt[0] == AGENT:
-            _, x, q, sfx = vt
-            for xhat in obs_of(x, sfx):
-                eid = intern((ENV, x, q, sfx, xhat))
-                edges.append((vid, eid, 0))
+    def agent(x, q, sid):
+        key = (sid * a.n + q) * m.n + x
+        vid = agent_ids.get(key)
+        if vid is None:
+            vid = agent_ids[key] = add(0, x, q, sid, -1)
+        return vid
+
+    agent(m.initial, a.trans[a.initial][lab[m.initial]], 0)
+    start, src, dst, wt = array("i", [0]), array("i"), array("i"), []
+    u = 0
+    while u < len(kind):  # vertices are appended in BFS order
+        x, q, sid = xs[u], qs[u], sfxs[u]
+        if not kind[u]:
+            w = 0
+            succs = [add(1, x, q, sid, xhat)
+                     for xhat in patterns[x][rows[sid][x]]]
         else:
-            _, x, q, sfx, xhat = vt
+            xhat = xhats[u]
             q2 = a.trans[q][lab[xhat]]
             w = m.weights[(x, xhat)]
-            if obs_of(xhat, sfx) is not None:
-                succs = [(AGENT, xhat, q2, sfx)]
+            if rows[sid][xhat] >= 0:
+                succs = (agent(xhat, q2, sid),)
             else:
-                succs = [
-                    (AGENT, xhat, q2, sfx + ((xhat, o),))
-                    for o in m.patterns[xhat]
-                ]
-            for st in succs:
-                edges.append((vid, intern(st), w))
+                succs = sorted([agent(xhat, q2, explore(sid, xhat, p))
+                                for p in range(len(patterns[xhat]))])
+        for v in succs:
+            src.append(u)
+            dst.append(v)
+            wt.append(w)
+        start.append(len(dst))
+        u += 1
 
-    n = len(vertices)
-    fwd = [[] for _ in range(n)]
-    rev = [[] for _ in range(n)]
-    for u, v, w in edges:
-        fwd[u].append((v, w))
-        rev[v].append((u, w))
-    for lst in fwd:
-        lst.sort()
-    for lst in rev:
-        lst.sort()
+    n = len(kind)
+    indegree = [0] * n
+    for v in dst:
+        indegree[v] += 1
+    fill = list(accumulate(indegree, initial=0))
+    rev_start = array("i", fill)
+    rev_edge = array("i", [0]) * len(dst)
+    for e, v in enumerate(dst):  # slots ascend by source
+        rev_edge[fill[v]] = e
+        fill[v] += 1
 
     accepting = tuple(
-        i for i, vt in enumerate(vertices)
-        if vt[0] == AGENT and vt[2] in a.accepting
+        v for v in range(n) if not kind[v] and qs[v] in a.accepting
     )
     return Arena(
-        vertices=tuple(vertices),
-        v0=0,
-        accepting=accepting,
-        fwd=tuple(tuple(lst) for lst in fwd),
-        rev=tuple(tuple(lst) for lst in rev),
-        index=index,
+        kind=kind, x=xs, q=qs, sfx=sfxs, xhat=xhats, suffixes=tuple(suffixes),
+        v0=0, accepting=accepting, start=start, src=src, dst=dst, wt=wt,
+        rev_start=rev_start, rev_edge=rev_edge,
     )
 
 
@@ -134,10 +207,10 @@ def play_cost(arena: Arena, play) -> int:
     """Total movement weight along a play; every hop must be an edge."""
     total = 0
     for u, v in zip(play, play[1:]):
-        w = arena.edge_weight(u, v)
-        if w is None:
+        e = arena.edge_slot(u, v)
+        if e is None:
             raise NotAPlay(f"({u},{v}) is not an arena edge")
-        total += w
+        total += arena.wt[e]
     return total
 
 
@@ -151,7 +224,8 @@ def size_bound(m: Pkwts, a: Dfa) -> int:
 
 def arena_to_json(arena: Arena) -> dict:
     verts = []
-    for i, vt in enumerate(arena.vertices):
+    for i in range(arena.n):
+        vt = arena.vertex(i)
         entry = {
             "id": i,
             "kind": "agent" if vt[0] == AGENT else "env",

@@ -53,6 +53,7 @@ def brute_force_optimal_regret(
         return INF, None, 0
 
     accepting = set(arena.accepting)
+    start, dst = arena.start, arena.dst
     env_move = _env_move_tables(arena, envs)
     decisions: dict = {}
     costs: list = []
@@ -92,12 +93,17 @@ def brute_force_optimal_regret(
         if v in decisions:
             advance(env_idx, decisions[v], cost, visited | {v}, partial)
             return
-        for t, _ in arena.fwd[v]:
+        for t in dst[start[v]:start[v + 1]]:
             decisions[v] = t
             advance(env_idx, t, cost, visited | {v}, partial)
             del decisions[v]
 
-    advance(0, arena.v0, 0, frozenset(), -INF)
+    try:
+        advance(0, arena.v0, 0, frozenset(), -INF)
+    finally:
+        # advance refers to itself; breaking that cycle frees the arena and
+        # the tables on return instead of at the next cyclic collection
+        del advance
 
     if best[1] is None:
         return INF, None, evaluated[0]
@@ -115,17 +121,16 @@ def _env_move_tables(arena: Arena, envs):
     for env in envs:
         table = {}
         for v in range(arena.n):
-            vt = arena.vertices[v]
-            if vt[0] == "a":
+            if arena.is_agent(v):
                 continue
             succs = arena.fwd[v]
             if len(succs) == 1:
                 table[v] = succs[0]
                 continue
-            xhat = vt[4]
+            xhat = arena.xhat[v]
             wanted = env.successors[xhat]
             for t, w in succs:
-                sfx = arena.vertices[t][3]
+                sfx = arena.suffixes[arena.sfx[t]]
                 if sfx and sfx[-1] == (xhat, wanted):
                     table[v] = (t, w)
                     break
@@ -136,11 +141,9 @@ def _env_move_tables(arena: Arena, envs):
 def _as_decision_map(arena: Arena, vertex_choices: dict, accepting) -> dict:
     decisions = {}
     for v, t in vertex_choices.items():
-        vt = arena.vertices[v]
-        decisions[(vt[1], vt[2], vt[3])] = arena.vertices[t][4]
+        decisions[arena.vertex(v)[1:]] = arena.xhat[t]
     for v in accepting:
-        vt = arena.vertices[v]
-        decisions[(vt[1], vt[2], vt[3])] = None
+        decisions[arena.vertex(v)[1:]] = None
     return decisions
 
 

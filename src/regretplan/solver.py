@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arena import AGENT, Arena, build_arena
+from .arena import Arena, build_arena
 from .errors import (
     SolverInvariantError,
     StrategyIncomplete,
@@ -145,7 +145,7 @@ def best_response(m: Pkwts, a: Dfa, k: KnowledgeSet, mode: str = "exact"):
 # shortest-play edge set and the regret weight function
 
 class EspResult(NamedTuple):
-    edges: set        # edges on some cheapest play from the start to a final
+    edges: set        # slots of the edges on some cheapest play to a final
     dist: dict        # forward distances from the initial vertex
 
 
@@ -157,51 +157,58 @@ def compute_e_sp(arena: Arena) -> EspResult:
     telescopes, so a path from v0 is a cheapest play to its end exactly
     when every edge on it is tight.
     """
-    dist, _ = dijkstra(dict(enumerate(arena.fwd)), arena.v0)
-    for u, out in enumerate(arena.fwd):
-        if u in dist:
-            for v, w in out:
-                if dist[u] + w < dist[v]:
-                    raise SolverInvariantError(
-                        f"edge ({u},{v}) undercuts the shortest distance to {v}")
+    dist, _ = dijkstra(arena.fwd, arena.v0)  # every vertex is reachable
+    for u, v, w in arena.edges():
+        if dist[u] + w < dist[v]:
+            raise SolverInvariantError(
+                f"edge ({u},{v}) undercuts the shortest distance to {v}")
     finals = [v for v in arena.accepting if v in dist]
     if not finals:
         raise UnrealizableTask("no accepting vertex is reachable")
+    src, wt, rev_start, rev_edge = (
+        arena.src, arena.wt, arena.rev_start, arena.rev_edge)
     edges = set()
-    on_play = set(finals)
+    on_play = bytearray(arena.n)
+    for v in finals:
+        on_play[v] = 1
     stack = finals
     while stack:
         v = stack.pop()
-        for u, w in arena.rev[v]:
-            if dist[u] + w == dist[v]:
-                edges.add((u, v))
-                if u not in on_play:
-                    on_play.add(u)
+        dv = dist[v]
+        for e in rev_edge[rev_start[v]:rev_start[v + 1]]:
+            u = src[e]
+            if dist[u] + wt[e] == dv:
+                edges.add(e)
+                if not on_play[u]:
+                    on_play[u] = 1
                     stack.append(u)
     return EspResult(edges=edges, dist=dist)
 
 
-def build_mu(arena: Arena, esp: EspResult, br_fn) -> dict:
-    """Regret weights: zero on commitments and on shortest-play movement,
-    infinite off the shortest plays, and cheapest-play cost minus best
-    response on edges entering an accepting vertex."""
-    accepting = set(arena.accepting)
-    mu = {}
-    for u, v, w in arena.edges():
-        if arena.is_agent(u):
-            mu[(u, v)] = 0
-        elif (u, v) not in esp.edges:
-            mu[(u, v)] = INF
-        elif v in accepting:
-            sfx = arena.vertices[v][3]
-            value = esp.dist[v] - br_fn(sfx)
+def build_mu(arena: Arena, esp: EspResult, br_fn) -> list:
+    """Regret weight of each edge slot: zero on commitments and on
+    shortest-play movement, infinite off the shortest plays, and
+    cheapest-play cost minus best response on edges entering an accepting
+    vertex."""
+    accepting = bytearray(arena.n)
+    for v in arena.accepting:
+        accepting[v] = 1
+    kind, esp_edges = arena.kind, esp.edges
+    mu = []
+    for e, (u, v) in enumerate(zip(arena.src, arena.dst)):
+        if not kind[u]:
+            mu.append(0)
+        elif e not in esp_edges:
+            mu.append(INF)
+        elif accepting[v]:
+            value = esp.dist[v] - br_fn(arena.suffixes[arena.sfx[v]])
             if value < 0:
                 raise SolverInvariantError(
                     f"best response exceeds shortest-play cost at vertex {v}; "
                     "check the best-response mode")
-            mu[(u, v)] = value
+            mu.append(value)
         else:
-            mu[(u, v)] = 0
+            mu.append(0)
     return mu
 
 
@@ -215,10 +222,10 @@ class MinMaxResult(NamedTuple):
     sweeps: int     # vertices settled, i.e. vertices with a finite value
 
 
-def solve_minmax(arena: Arena, weights: dict) -> MinMaxResult:
-    """Min-cost reachability game with nonnegative weights, solved in
-    Dijkstra order (Khachiyan et al., ToCS 2008; Brihaye et al., Acta
-    Informatica 2017).
+def solve_minmax(arena: Arena, weights) -> MinMaxResult:
+    """Min-cost reachability game with nonnegative weights, one per edge
+    slot, solved in Dijkstra order (Khachiyan et al., ToCS 2008; Brihaye
+    et al., Acta Informatica 2017).
 
     Vertices settle in nondecreasing value from the accepting ones.  An
     agent vertex settles at its first pop, which is its cheapest move; an
@@ -228,31 +235,32 @@ def solve_minmax(arena: Arena, weights: dict) -> MinMaxResult:
     once, so ``sweeps`` counts the vertices with a finite value.
     """
     n = arena.n
-    accepting = set(arena.accepting)
+    kind, start, dst, src = arena.kind, arena.start, arena.dst, arena.src
+    rev_start, rev_edge = arena.rev_start, arena.rev_edge
     values = [INF] * n  # final once settled; an agent's best offer before
-    for v in accepting:
+    for v in arena.accepting:
         values[v] = 0
-    is_agent = [vt[0] == AGENT for vt in arena.vertices]
-    unsettled_succs = [len(out) for out in arena.fwd]
+    unsettled_succs = [start[v + 1] - start[v] for v in range(n)]
     worst = [0] * n  # env: max of value + weight over settled successors
-    settled = [False] * n
+    settled = bytearray(n)
     heap = [(0, v) for v in arena.accepting]
     sweeps = 0
     while heap:
         d, v = heapq.heappop(heap)
         if settled[v]:
             continue
-        settled[v] = True
+        settled[v] = 1
         values[v] = d
         sweeps += 1
-        for u, _ in arena.rev[v]:
+        for e in rev_edge[rev_start[v]:rev_start[v + 1]]:
+            u = src[e]
             if settled[u]:
                 continue
-            w = weights[(u, v)]
+            w = weights[e]
             if w == INF:
                 continue
             cand = d + w
-            if is_agent[u]:
+            if not kind[u]:
                 if cand < values[u]:
                     values[u] = cand
                     heapq.heappush(heap, (cand, u))
@@ -264,18 +272,20 @@ def solve_minmax(arena: Arena, weights: dict) -> MinMaxResult:
                     heapq.heappush(heap, (worst[u], u))
     log.debug("min-max settled %d of %d vertices", sweeps, n)
 
+    accepting = set(arena.accepting)
     choices = {}
     for v in range(n):
-        if not arena.is_agent(v):
+        if kind[v]:
             continue
         if v in accepting:
             choices[v] = None
         elif values[v] < INF:
             best = None
-            for t, _ in arena.fwd[v]:
+            for e in range(start[v], start[v + 1]):
+                t = dst[e]
                 if _is_round_trip(arena, t, v):
                     continue
-                if values[t] + weights[(v, t)] == values[v]:
+                if values[t] + weights[e] == values[v]:
                     best = t
                     break  # successors are sorted by id: first hit wins ties
             if best is None:
@@ -287,27 +297,25 @@ def solve_minmax(arena: Arena, weights: dict) -> MinMaxResult:
 def _is_round_trip(arena: Arena, env_v: int, agent_v: int) -> bool:
     # an env vertex whose only move returns to the same agent vertex can
     # never make progress (designated goal self-loops produce these)
-    out = arena.fwd[env_v]
-    return len(out) == 1 and out[0][0] == agent_v
+    s = arena.start[env_v]
+    return arena.start[env_v + 1] == s + 1 and arena.dst[s] == agent_v
 
 
 def _reachable_decisions(arena: Arena, choices: dict) -> dict:
     """Restrict a vertex-indexed decision map to play-reachable vertices,
     keyed by (state, automaton state, knowledge suffix)."""
+    kind, start, dst = arena.kind, arena.start, arena.dst
     decisions = {}
     seen = {arena.v0}
     stack = [arena.v0]
     while stack:
         v = stack.pop()
-        vt = arena.vertices[v]
-        if vt[0] == AGENT:
+        if not kind[v]:
             go = choices[v]
-            decisions[(vt[1], vt[2], vt[3])] = (
-                None if go is None else arena.vertices[go][4]
-            )
-            nxt = [] if go is None else [go]
+            decisions[arena.vertex(v)[1:]] = None if go is None else arena.xhat[go]
+            nxt = () if go is None else (go,)
         else:
-            nxt = [t for t, _ in arena.fwd[v]]
+            nxt = dst[start[v]:start[v + 1]]
         for t in nxt:
             if t not in seen:
                 seen.add(t)
@@ -339,8 +347,7 @@ def solve_regret(m: Pkwts, a: Dfa, br_mode: str = "exact"):
 def solve_worst_case(m: Pkwts, a: Dfa):
     """Strategy minimizing the worst-case total cost, and that cost."""
     arena = build_arena(m, a)
-    weights = {(u, v): w for u, v, w in arena.edges()}
-    result = solve_minmax(arena, weights)
+    result = solve_minmax(arena, arena.wt)
     value = result.values[arena.v0]
     if value == INF:
         raise UnrealizableTask("no strategy wins in every compatible environment")

@@ -130,11 +130,11 @@ def test_criterion_4_property_suite(instance_suite):
         for env in md.compatible_envs(m):
             rec = run(strategy, m, TARGET_DFA, env)
             assert rec.satisfied, (idx, "strategy not winning")
-            final = arena.index[
+            final = arena.id_of(
                 ("a", rec.path[-1],
                  _dfa_state_after(m, rec.path),
                  rec.knowledge_final.suffix)
-            ]
+            )
             assert rec.cost == dist[final], (idx, "play is not a cheapest play")
 
         if m.fully_known:

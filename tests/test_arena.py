@@ -1,5 +1,9 @@
 """Game-arena construction and play bookkeeping."""
 
+import hashlib
+import json
+import tracemalloc
+
 import pytest
 
 from regretplan import arena as ar
@@ -7,6 +11,7 @@ from regretplan import fixtures
 from regretplan import model as md
 from regretplan.errors import ArenaTooLarge, NotAPlay
 from regretplan.formula import parse, to_dfa
+from regretplan.grid import grid_compile
 
 
 @pytest.fixture
@@ -26,12 +31,12 @@ def t3_arena(t3, dfa):
 
 def vertex(arena, kind, x, q, sfx, xhat=None):
     vt = (kind, x, q, sfx) if xhat is None else (kind, x, q, sfx, xhat)
-    return arena.index[vt]
+    return arena.id_of(vt)
 
 
 def test_initial_vertex(t3_arena):
     assert t3_arena.v0 == 0
-    kind, x, q, sfx = t3_arena.vertices[0]
+    kind, x, q, sfx = t3_arena.vertex(0)
     assert (kind, x, sfx) == (ar.AGENT, 0, ())
 
 
@@ -45,8 +50,8 @@ def test_weights_on_movement_edges_only(t3, t3_arena):
         if t3_arena.is_agent(u):
             assert w == 0
         else:
-            x_e = t3_arena.vertices[u][1]
-            x_a = t3_arena.vertices[v][1]
+            x_e = t3_arena.vertex(u)[1]
+            x_a = t3_arena.vertex(v)[1]
             assert w == t3.weights[(x_e, x_a)]
 
 
@@ -56,7 +61,8 @@ def test_env_branching_on_unexplored(t3_arena):
 
 
 def test_env_determinism_on_explored(t3_arena):
-    for vid, vt in enumerate(t3_arena.vertices):
+    for vid in range(t3_arena.n):
+        vt = t3_arena.vertex(vid)
         if vt[0] != ar.ENV:
             continue
         xhat, sfx = vt[4], vt[3]
@@ -67,14 +73,14 @@ def test_env_determinism_on_explored(t3_arena):
 
 def test_knowledge_monotone_along_edges(t3_arena):
     for u, v, _ in t3_arena.edges():
-        su, sv = t3_arena.vertices[u][3], t3_arena.vertices[v][3]
+        su, sv = t3_arena.vertex(u)[3], t3_arena.vertex(v)[3]
         assert sv[: len(su)] == su
 
 
 def test_accepting_are_agent_vertices_with_final_q(t3_arena, dfa):
     assert t3_arena.accepting
     for vid in t3_arena.accepting:
-        vt = t3_arena.vertices[vid]
+        vt = t3_arena.vertex(vid)
         assert vt[0] == ar.AGENT and vt[2] in dfa.accepting
 
 
@@ -98,11 +104,11 @@ def test_fully_known_arena_mirrors_product(dfa):
     arena = ar.build_arena(m, dfa)
     prod = md.product(md.skeleton(m), dfa)
     agent_states = {
-        (vt[1], vt[2]) for vt in arena.vertices if vt[0] == ar.AGENT
+        (arena.x[v], arena.q[v]) for v in range(arena.n) if arena.is_agent(v)
     }
     assert agent_states == set(prod.adj)
-    for vid, vt in enumerate(arena.vertices):
-        if vt[0] == ar.ENV:
+    for vid in range(arena.n):
+        if not arena.is_agent(vid):
             assert len(arena.fwd[vid]) == 1
 
 
@@ -184,7 +190,7 @@ def test_same_endpoint_same_branching_sequence(t3_arena):
 
 def test_knowledge_chain_along_plays(t3_arena):
     for play in all_plays(t3_arena, 10):
-        sfxs = [t3_arena.vertices[v][3] for v in play]
+        sfxs = [t3_arena.vertex(v)[3] for v in play]
         for a, b in zip(sfxs, sfxs[1:]):
             assert b[: len(a)] == a
 
@@ -194,3 +200,55 @@ def test_arena_json_shape(t3_arena):
     assert data["initial"] == 0
     assert len(data["vertices"]) == t3_arena.n
     assert all({"from", "to", "w"} <= set(e) for e in data["edges"])
+
+
+# ---------------------------------------------------------------------------
+# compact storage
+
+def test_id_of_is_strict(t3_arena):
+    assert t3_arena.id_of(t3_arena.vertex(7)) == 7
+    with pytest.raises(KeyError):
+        t3_arena.id_of((ar.AGENT, 0, 0, ((1, (2,)),)))
+    with pytest.raises(KeyError):
+        t3_arena.id_of((ar.ENV, 0, 0, (), 3))
+
+
+def test_reverse_index_lists_incoming_edges_by_source(t3_arena):
+    for v in range(t3_arena.n):
+        slots = t3_arena.rev_edge[t3_arena.rev_start[v]:t3_arena.rev_start[v + 1]]
+        assert all(t3_arena.dst[e] == v for e in slots)
+        assert [t3_arena.src[e] for e in slots] == sorted(
+            u for u, t, _ in t3_arena.edges() if t == v)
+
+
+def arena_digest(arena):
+    data = json.dumps(ar.arena_to_json(arena), sort_keys=True)
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def test_arena_golden_digests(t3_arena):
+    # vertex numbering decides the strategy tie-break (first successor by
+    # id); these digests pin the breadth-first numbering of the tuple-keyed
+    # construction this one replaced
+    assert t3_arena.n == 20
+    assert arena_digest(t3_arena) == (
+        "7366a3aa8dd09bf43ec70122155fc4971a47ae9fbd16691a71fa2f5a55a74c2d")
+    fig1 = ar.build_arena(grid_compile(fixtures.FIG1_GRID),
+                          to_dfa(parse(fixtures.FIG1_TASK), {"f"}))
+    assert fig1.n == 729
+    assert arena_digest(fig1) == (
+        "197d1e51cf8cb77ade9fa53a8e8ea490149e128a02111e2160c7ab9fd799e346")
+
+
+def test_case_study_build_allocation_peak():
+    # 260,202 vertices; the tuple-keyed arena peaked at 187 MB here
+    m = grid_compile(fixtures.CASE_STUDY_GRID)
+    a = to_dfa(parse(fixtures.CASE_STUDY_TASK), {"fire", "extinguisher"})
+    tracemalloc.start()
+    try:
+        arena = ar.build_arena(m, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arena.n == 260_202
+    assert peak <= 100 * 2 ** 20, peak / 2 ** 20

@@ -118,7 +118,7 @@ def test_run_cost_matches_arena_play_cost(t3, dfa, regret_strategy, worst_strate
             rec = run(strategy, t3, dfa, env)
             play = simulate_play(arena, strategy, env)
             assert ar.play_cost(arena, play) == rec.cost
-            assert [arena.vertices[v][1] for v in play if arena.is_agent(v)] \
+            assert [arena.vertex(v)[1] for v in play if arena.is_agent(v)] \
                 == list(rec.path)
 
 
@@ -126,12 +126,12 @@ def simulate_play(arena, strategy, env):
     v = arena.v0
     play = [v]
     while True:
-        vt = arena.vertices[v]
+        vt = arena.vertex(v)
         if arena.is_agent(v):
             go = strategy.decide(vt[1], vt[2], vt[3])
             if go is None:
                 return play
-            v = arena.index[(ar.ENV, vt[1], vt[2], vt[3], go)]
+            v = arena.id_of((ar.ENV, vt[1], vt[2], vt[3], go))
         else:
             xhat = vt[4]
             succs = [t for t, _ in arena.fwd[v]]
@@ -146,7 +146,7 @@ def simulate_play(arena, strategy, env):
 
 
 def obs_in_vertex(arena, agent_vid, xhat):
-    vt = arena.vertices[agent_vid]
+    vt = arena.vertex(agent_vid)
     for s, o in vt[3]:
         if s == xhat:
             return o

@@ -1,6 +1,8 @@
 """Brute-force certification of the solver on desk-scale instances."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -67,6 +69,34 @@ def test_oracle_caps(t3, dfa):
         orc.brute_force_optimal_regret(t3, dfa, unknown_cap=0)
     with pytest.raises(SearchSpaceTooLarge):
         orc.brute_force_optimal_regret(t3, dfa, choice_cap=1)
+
+
+def test_oracle_frees_its_arena_without_the_cycle_collector(t3, dfa, monkeypatch):
+    # the enumeration closure refers to itself; unless that cycle is
+    # broken, the arena it holds lives until the next cyclic collection
+    refs = []
+
+    def build_arena(*args, **kwargs):
+        arena = ar.build_arena(*args, **kwargs)
+        refs.append(weakref.ref(arena))
+        return arena
+
+    monkeypatch.setattr(orc, "build_arena", build_arena)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert orc.brute_force_optimal_regret(t3, dfa)[0] == 2
+        assert refs[-1]() is None
+        try:
+            orc.brute_force_optimal_regret(t3, dfa, choice_cap=3)
+        except SearchSpaceTooLarge:
+            pass
+        else:
+            pytest.fail("choice cap not enforced")
+        assert len(refs) == 2 and refs[-1]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_solver_matches_oracle_on_t3(t3, dfa):

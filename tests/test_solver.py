@@ -90,19 +90,21 @@ def test_best_response_skeleton_is_lower_bound(t3, dfa):
 def test_esp_contains_both_routes(t3_arena):
     esp = sv.compute_e_sp(t3_arena)
     v0 = t3_arena.v0
-    commit_s1 = t3_arena.index[(ar.ENV, 0, 0, (), 1)]
-    commit_s2 = t3_arena.index[(ar.ENV, 0, 0, (), 2)]
-    assert (v0, commit_s1) in esp.edges
-    assert (v0, commit_s2) in esp.edges
+    commit_s1 = t3_arena.id_of((ar.ENV, 0, 0, (), 1))
+    commit_s2 = t3_arena.id_of((ar.ENV, 0, 0, (), 2))
+    assert t3_arena.edge_slot(v0, commit_s1) in esp.edges
+    assert t3_arena.edge_slot(v0, commit_s2) in esp.edges
 
 
 def test_esp_excludes_strictly_longer_detour(t3_arena):
     esp = sv.compute_e_sp(t3_arena)
     # re-committing to the explored state 1 after bouncing back is never
     # on a cheapest play to any final vertex
-    env_retry = t3_arena.index[(ar.ENV, 0, 0, SFX_NO, 1)]
-    agent_retry = t3_arena.index[(ar.AGENT, 1, 0, SFX_NO)]
-    assert (env_retry, agent_retry) not in esp.edges
+    env_retry = t3_arena.id_of((ar.ENV, 0, 0, SFX_NO, 1))
+    agent_retry = t3_arena.id_of((ar.AGENT, 1, 0, SFX_NO))
+    retry = t3_arena.edge_slot(env_retry, agent_retry)
+    assert retry is not None
+    assert retry not in esp.edges
 
 
 def test_esp_linear_chain_all_edges(dfa):
@@ -110,14 +112,14 @@ def test_esp_linear_chain_all_edges(dfa):
     arena = ar.build_arena(m, dfa)
     esp = sv.compute_e_sp(arena)
     chain = [
-        arena.index[(ar.AGENT, 0, 0, ())],
-        arena.index[(ar.ENV, 0, 0, (), 1)],
-        arena.index[(ar.AGENT, 1, 0, ())],
-        arena.index[(ar.ENV, 1, 0, (), 2)],
-        arena.index[(ar.AGENT, 2, 1, ())],
+        arena.id_of((ar.AGENT, 0, 0, ())),
+        arena.id_of((ar.ENV, 0, 0, (), 1)),
+        arena.id_of((ar.AGENT, 1, 0, ())),
+        arena.id_of((ar.ENV, 1, 0, (), 2)),
+        arena.id_of((ar.AGENT, 2, 1, ())),
     ]
     for u, v in zip(chain, chain[1:]):
-        assert (u, v) in esp.edges
+        assert arena.edge_slot(u, v) in esp.edges
 
 
 def test_esp_unrealizable_raises():
@@ -145,10 +147,10 @@ def mu_for(t3, dfa, t3_arena):
 
 def test_mu_values_on_final_edges(t3, dfa, t3_arena):
     mu, _ = mu_for(t3, dfa, t3_arena)
-    f_short = t3_arena.index[(ar.AGENT, 3, 1, SFX_YES)]
-    f_detour = t3_arena.index[(ar.AGENT, 3, 1, SFX_NO)]
-    f_direct = t3_arena.index[(ar.AGENT, 3, 1, ())]
-    into = lambda f: next((u, v) for u, v, _ in t3_arena.edges()
+    f_short = t3_arena.id_of((ar.AGENT, 3, 1, SFX_YES))
+    f_detour = t3_arena.id_of((ar.AGENT, 3, 1, SFX_NO))
+    f_direct = t3_arena.id_of((ar.AGENT, 3, 1, ()))
+    into = lambda f: next(e for e, (u, v, _) in enumerate(t3_arena.edges())
                           if v == f and not t3_arena.is_agent(u))
     assert mu[into(f_short)] == 0
     assert mu[into(f_detour)] == 2
@@ -157,7 +159,8 @@ def test_mu_values_on_final_edges(t3, dfa, t3_arena):
 
 def test_mu_nonnegative_and_zero_on_agent_edges(t3, dfa, t3_arena):
     mu, _ = mu_for(t3, dfa, t3_arena)
-    for (u, v), val in mu.items():
+    assert len(mu) == len(t3_arena.dst)
+    for (u, v, _), val in zip(t3_arena.edges(), mu):
         assert val >= 0
         if t3_arena.is_agent(u):
             assert val == 0
@@ -175,8 +178,7 @@ def test_minmax_value_zero_when_start_accepting(dfa):
         labels=(frozenset({"target"}), frozenset()),
     )
     arena = ar.build_arena(m, dfa)
-    weights = {(u, v): w for u, v, w in arena.edges()}
-    result = sv.solve_minmax(arena, weights)
+    result = sv.solve_minmax(arena, arena.wt)
     assert result.values[arena.v0] == 0
     assert result.choices[arena.v0] is None
 
@@ -185,15 +187,14 @@ def test_minmax_regret_objective(t3, dfa, t3_arena):
     mu, _ = mu_for(t3, dfa, t3_arena)
     result = sv.solve_minmax(t3_arena, mu)
     assert result.values[t3_arena.v0] == 2
-    commit_s1 = t3_arena.index[(ar.ENV, 0, 0, (), 1)]
+    commit_s1 = t3_arena.id_of((ar.ENV, 0, 0, (), 1))
     assert result.choices[t3_arena.v0] == commit_s1
 
 
 def test_minmax_worst_objective(t3, dfa, t3_arena):
-    weights = {(u, v): w for u, v, w in t3_arena.edges()}
-    result = sv.solve_minmax(t3_arena, weights)
+    result = sv.solve_minmax(t3_arena, t3_arena.wt)
     assert result.values[t3_arena.v0] == 10
-    commit_s2 = t3_arena.index[(ar.ENV, 0, 0, (), 2)]
+    commit_s2 = t3_arena.id_of((ar.ENV, 0, 0, (), 2))
     assert result.choices[t3_arena.v0] == commit_s2
 
 
@@ -201,7 +202,7 @@ def test_minmax_converges_within_vertex_count(t3, dfa, t3_arena):
     # each vertex settles at most once, and exactly the vertices with a
     # finite value settle
     mu, _ = mu_for(t3, dfa, t3_arena)
-    for weights in ({(u, v): w for u, v, w in t3_arena.edges()}, mu):
+    for weights in (t3_arena.wt, mu):
         result = sv.solve_minmax(t3_arena, weights)
         finite = sum(value < INF for value in result.values)
         assert result.sweeps == finite <= t3_arena.n
@@ -317,6 +318,10 @@ def test_skeleton_mode_matches_exact_on_t3(t3, dfa):
     assert s_exact.decisions == s_skel.decisions
 
 
+def slots(arena, v):
+    return range(arena.start[v], arena.start[v + 1])
+
+
 def backward_values(arena, weights, terminal):
     """Min-max value iteration from INF with each accepting vertex pinned
     to ``terminal(v)``: env maximizes and agent minimizes value + weight.
@@ -330,7 +335,7 @@ def backward_values(arena, weights, terminal):
     while True:
         changed = False
         for v in order:
-            cands = [values[t] + weights[(v, t)] for t, _ in arena.fwd[v]]
+            cands = [values[arena.dst[e]] + weights[e] for e in slots(arena, v)]
             val = min(cands) if arena.is_agent(v) else max(cands)
             if val != values[v]:
                 values[v] = val
@@ -344,9 +349,8 @@ def naive_backward_regret(m, dfa):
     backward iteration over the original weights."""
     arena = ar.build_arena(m, dfa)
     br = sv.BestResponse(m, dfa)
-    weights = {(u, v): w for u, v, w in arena.edges()}
-    values = backward_values(arena, weights,
-                             lambda v: -br(arena.vertices[v][3]))
+    values = backward_values(arena, arena.wt,
+                             lambda v: -br(arena.vertex(v)[3]))
     return values[arena.v0]
 
 
@@ -364,9 +368,9 @@ def reference_minmax(arena, weights):
             choices[v] = None
         elif values[v] < INF:
             choices[v] = next(
-                t for t, _ in arena.fwd[v]
-                if [s for s, _ in arena.fwd[t]] != [v]
-                and values[t] + weights[(v, t)] == values[v])
+                arena.dst[e] for e in slots(arena, v)
+                if [s for s, _ in arena.fwd[arena.dst[e]]] != [v]
+                and values[arena.dst[e]] + weights[e] == values[v])
     return values, choices
 
 
@@ -391,18 +395,21 @@ def reference_e_sp(arena):
                     heapq.heappush(heap, (d + w, v))
         return dist
 
+    rev = [[] for _ in range(arena.n)]
+    for u, v, w in arena.edges():
+        rev[v].append((u, w))
     dist = dijkstra_from(arena.fwd, {arena.v0: 0})
     seeds = {v: -dist[v] for v in arena.accepting if v in dist}
     if not seeds:
         raise UnrealizableTask("no accepting vertex is reachable")
-    potential = dijkstra_from(arena.rev, seeds)
+    potential = dijkstra_from(rev, seeds)
     edges = set()
-    for u, v, w in arena.edges():
+    for e, (u, v, w) in enumerate(arena.edges()):
         if u in dist and v in potential:
             slack = dist[u] + w + potential[v]
             assert slack >= 0
             if slack == 0:
-                edges.add((u, v))
+                edges.add(e)
     return edges, dist
 
 
@@ -429,9 +436,8 @@ def test_solvers_match_value_iteration_and_slack_references(dfa):
         arena = ar.build_arena(m, a)
         esp = sv.compute_e_sp(arena)
         assert (esp.edges, esp.dist) == reference_e_sp(arena)
-        movement = {(u, v): w for u, v, w in arena.edges()}
         mu = sv.build_mu(arena, esp, sv.BestResponse(m, a))
-        for weights in (movement, mu):
+        for weights in (arena.wt, mu):
             result = sv.solve_minmax(arena, weights)
             assert (result.values, result.choices) == reference_minmax(arena, weights)
 
