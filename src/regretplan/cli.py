@@ -87,7 +87,7 @@ def _cmd_solve(args):
     m = load_model(args.model)
     _, dfa = _task_dfa(args.task, m.atoms)
     if args.objective == "regret":
-        strategy, value = sv.solve_regret(m, dfa, br_mode=args.br_mode)
+        strategy, value = sv.solve_regret(m, dfa)
     elif args.objective == "worst":
         strategy, value = sv.solve_worst_case(m, dfa)
     else:
@@ -201,7 +201,6 @@ def _build_parser():
     p.add_argument("--task", required=True)
     p.add_argument("--objective", choices=("regret", "worst", "best"),
                    default="regret")
-    p.add_argument("--br-mode", choices=("exact", "skeleton"), default="exact")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_solve)
 

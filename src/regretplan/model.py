@@ -343,7 +343,8 @@ def shortest_satisfying_cost(t: Wts, a: Dfa):
 def dijkstra(adj: Mapping, source):
     """Single-source shortest distances with deterministic tie-breaking.
 
-    ``adj`` maps a vertex to an iterable of (successor, weight) pairs.
+    ``adj`` maps a vertex to an iterable of (successor, weight) pairs;
+    only ``adj.get(u, default)`` is used, so a generator method serves.
     Returns (dist, pred); unreachable vertices are absent from dist.
     Ties prefer the smallest vertex, so reconstructed paths are unique.
     """

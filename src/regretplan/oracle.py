@@ -170,7 +170,7 @@ def check_regret_bound(strategy, m: Pkwts, a: Dfa) -> RegretBoundReport:
     environment's optimum against realized cost minus the best response
     of the terminal knowledge; the two maxima must agree and the bound
     must be tight somewhere."""
-    br_fn = BestResponse(m, a, mode="exact")
+    br_fn = BestResponse(m, a)
     entries = []
     violations = []
     for idx, t in enumerate(compatible_envs(m)):

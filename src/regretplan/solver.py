@@ -6,7 +6,8 @@ solve; the best case plans on the refined skeleton:
 * regret: reweight edges so that finite-cost plays are exactly the
   shortest plays, with each accepting edge charged the gap between that
   play's cost and the best response for the knowledge collected; then
-  solve the min-max game.
+  solve the min-max game.  The best response is one exact search that
+  picks unknown patterns lazily, memoized by the observed patterns.
 * worst case: min-max over the original movement weights.
 * best case: optimistic replanning on the refined skeleton, packaged as
   an online policy.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,19 +32,15 @@ from .model import (
     INF,
     KnowledgeSet,
     Pkwts,
-    compatible_envs,
     dijkstra,
     initial_knowledge,
     product,
     refine,
     shortest_path_to,
-    shortest_satisfying_cost,
     skeleton,
 )
 
 log = logging.getLogger("regretplan.solver")
-
-EXACT_BR_CAP = 4096
 
 
 @dataclass
@@ -89,56 +85,59 @@ class PositionalStrategy:
 
 
 class BestResponse:
-    """Cheapest satisfying cost over environments consistent with a
-    knowledge record, memoized by exploration suffix.
+    """Cheapest satisfying cost over the environments consistent with a
+    knowledge record: ``min over worlds of opt(world)``, exactly.
 
-    Exact mode scans every completion of the refined model; if there are
-    more than ``exact_cap`` it warns and falls back to the skeleton bound
-    for that query.  Skeleton mode is a lower bound: one search on the
-    union system, which may mix patterns from different completions.
+    One ``model.dijkstra`` over search vertices ``(x, q, row)``, where
+    ``row[j]`` is the pattern index of the j-th unknown state: observed,
+    or -1 until a path first leaves that state.  Leaving it branches over
+    its patterns and fixes the pick, so every search path lives in one
+    world, and each world's cheapest satisfying path is a search path.
+    Accepting vertices end a path and are not expanded.  The value
+    depends on which patterns were observed, not in what order, so the
+    memo is keyed by the order-free ``row``.
     """
 
-    def __init__(self, m: Pkwts, a: Dfa, mode: str = "exact",
-                 exact_cap: int = EXACT_BR_CAP):
-        if mode not in ("exact", "skeleton"):
-            raise ValueError(f"unknown best-response mode {mode!r}")
+    def __init__(self, m: Pkwts, a: Dfa):
         self.m = m
         self.a = a
-        self.mode = mode
-        self.exact_cap = exact_cap
-        self.base = initial_knowledge(m).base
+        self.lab = [a.letter_index(m.labels[x]) for x in range(m.n)]
+        self.slot = {x: j for j, x in enumerate(m.unknown_states)}
         self.memo = {}
 
     def __call__(self, suffix) -> object:
-        if suffix in self.memo:
-            return self.memo[suffix]
-        k = KnowledgeSet(self.base, suffix)
-        refined = refine(self.m, k)
-        value = None
-        if self.mode == "exact":
-            completions = 1
-            for x in refined.unknown_states:
-                completions *= len(refined.patterns[x])
-            if completions > self.exact_cap:
-                warnings.warn(
-                    f"best response: {completions} completions exceed cap "
-                    f"{self.exact_cap}; using skeleton lower bound",
-                    RuntimeWarning,
-                )
-            else:
-                value = min(
-                    shortest_satisfying_cost(t, self.a)
-                    for t in compatible_envs(refined)
-                )
-        if value is None:
-            value = shortest_satisfying_cost(skeleton(refined), self.a)
-        self.memo[suffix] = value
-        return value
+        row = [-1] * len(self.slot)
+        for x, o in suffix:
+            row[self.slot[x]] = self.m.patterns[x].index(tuple(o))
+        row = tuple(row)
+        if row not in self.memo:
+            m, a = self.m, self.a
+            q0 = a.trans[a.initial][self.lab[m.initial]]
+            dist, _ = dijkstra(self, (m.initial, q0, row))
+            self.memo[row] = min((d for (_, q, _), d in dist.items()
+                                  if q in a.accepting), default=INF)
+        return self.memo[row]
+
+    def get(self, u, default=None):
+        """Search successors of ``u`` with their movement weights."""
+        x, q, row = u
+        if q in self.a.accepting:
+            return
+        family, j = self.m.patterns[x], self.slot.get(x)
+        if j is not None and row[j] < 0:
+            picks = [(p, row[:j] + (i,) + row[j + 1:])
+                     for i, p in enumerate(family)]
+        else:
+            picks = [(family[0 if j is None else row[j]], row)]
+        for pattern, nrow in picks:
+            for y in pattern:
+                succ = (y, self.a.trans[q][self.lab[y]], nrow)
+                yield succ, self.m.weights[(x, y)]
 
 
-def best_response(m: Pkwts, a: Dfa, k: KnowledgeSet, mode: str = "exact"):
-    """One-off best-response query; see BestResponse for the modes."""
-    return BestResponse(m, a, mode=mode)(k.suffix)
+def best_response(m: Pkwts, a: Dfa, k: KnowledgeSet):
+    """One-off best-response query; see BestResponse."""
+    return BestResponse(m, a)(k.suffix)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +203,7 @@ def build_mu(arena: Arena, esp: EspResult, br_fn) -> list:
             value = esp.dist[v] - br_fn(arena.suffixes[arena.sfx[v]])
             if value < 0:
                 raise SolverInvariantError(
-                    f"best response exceeds shortest-play cost at vertex {v}; "
-                    "check the best-response mode")
+                    f"best response exceeds shortest-play cost at vertex {v}")
             mu.append(value)
         else:
             mu.append(0)
@@ -326,12 +324,11 @@ def _reachable_decisions(arena: Arena, choices: dict) -> dict:
 # ---------------------------------------------------------------------------
 # the three synthesis entry points
 
-def solve_regret(m: Pkwts, a: Dfa, br_mode: str = "exact"):
+def solve_regret(m: Pkwts, a: Dfa):
     """Regret-minimizing strategy and its regret value."""
     arena = build_arena(m, a)
     esp = compute_e_sp(arena)
-    br_fn = BestResponse(m, a, mode=br_mode)
-    mu = build_mu(arena, esp, br_fn)
+    mu = build_mu(arena, esp, BestResponse(m, a))
     result = solve_minmax(arena, mu)
     value = result.values[arena.v0]
     if value == INF:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, file formats, and determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -119,7 +120,7 @@ def test_grid_subcommand_and_fig1_pipeline(tmp_path, capsys):
 
 
 def test_model_json_roundtrip_via_cli(tmp_path, t3_file):
-    data = json.loads(open(t3_file).read())
+    data = json.loads(Path(t3_file).read_text())
     back = md.model_to_json(md.model_from_json(data))
     assert back == md.model_to_json(fixtures.t3())
 

@@ -12,7 +12,7 @@ from regretplan import grid as gr
 from regretplan import model as md
 from regretplan import solver as sv
 from regretplan.errors import StuckNoPath, UnrealizableTask
-from regretplan.execute import run
+from regretplan.execute import regret_of, run
 from regretplan.formula import parse, to_dfa
 
 INF = math.inf
@@ -75,13 +75,6 @@ def test_best_response_fully_known(dfa):
     m = fully_known_line()
     k0 = md.initial_knowledge(m)
     assert sv.best_response(m, dfa, k0) == 5
-
-
-def test_best_response_skeleton_is_lower_bound(t3, dfa):
-    k0 = md.initial_knowledge(t3)
-    exact = sv.best_response(t3, dfa, k0, mode="exact")
-    lower = sv.best_response(t3, dfa, k0, mode="skeleton")
-    assert lower <= exact
 
 
 # ---------------------------------------------------------------------------
@@ -288,34 +281,101 @@ def test_worst_value_brackets_regret_strategy_cost(t3, dfa):
     assert worst_value <= worst_realized <= worst_value + regret_value
 
 
-def test_skeleton_best_response_can_be_strictly_optimistic():
+def hub_model(extra=0):
+    # an unknown hub that leads to goal a or to goal b, never to both;
+    # ``extra`` unknown states after it are unreachable from the start
+    n = 4 + extra
+    weights = {(0, 1): 1, (1, 2): 1, (1, 3): 1, (2, 1): 1, (3, 1): 1}
+    for x in range(4, n):
+        weights[(x, x)] = weights[(x, 0)] = 1
+    return md.Pkwts(
+        n=n,
+        initial=0,
+        patterns=((((1,),), ((2,), (3,)), ((1,),), ((1,),))
+                  + tuple(((x,), (0,)) for x in range(4, n))),
+        weights=weights,
+        labels=((frozenset(), frozenset(), frozenset({"a"}), frozenset({"b"}))
+                + (frozenset(),) * extra),
+    )
+
+
+def test_best_response_never_mixes_patterns_from_two_worlds():
     # the union system can stitch together successor choices that no
     # single environment offers: here each pattern alone misses one of
-    # the two goals, so the exact best response is infinite while the
-    # skeleton happily reports a finite cost
-    m = md.Pkwts(
-        n=4,
-        initial=0,
-        patterns=(
-            ((1,),),
-            ((2,), (3,)),      # unknown hub: leads to one goal or the other
-            ((1,),),
-            ((1,),),
-        ),
-        weights={(0, 1): 1, (1, 2): 1, (1, 3): 1, (2, 1): 1, (3, 1): 1},
-        labels=(frozenset(), frozenset(), frozenset({"a"}), frozenset({"b"})),
-    )
+    # the two goals, so the best response is infinite while the skeleton
+    # reports a finite cost
+    m = hub_model()
     dfa = to_dfa(parse("F a & F b"), {"a", "b"})
-    k0 = md.initial_knowledge(m)
-    assert sv.best_response(m, dfa, k0, mode="exact") == INF
-    assert sv.best_response(m, dfa, k0, mode="skeleton") == 4
+    assert md.shortest_satisfying_cost(md.skeleton(m), dfa) == 4
+    assert sv.best_response(m, dfa, md.initial_knowledge(m)) == INF
 
 
-def test_skeleton_mode_matches_exact_on_t3(t3, dfa):
-    s_exact, v_exact = sv.solve_regret(t3, dfa, br_mode="exact")
-    s_skel, v_skel = sv.solve_regret(t3, dfa, br_mode="skeleton")
-    assert v_exact == v_skel == 2
-    assert s_exact.decisions == s_skel.decisions
+def test_best_response_exact_beyond_4096_worlds():
+    # 13 unknown states, 8192 worlds: no cap, no fallback, no warning
+    dfa = to_dfa(parse("F a & F b"), {"a", "b"})
+    # the hub as a trap beside a known 20-cost route 0 -> 4 (a) -> 5 (b),
+    # with states 6..17 unknown and unreachable
+    n = 18
+    patterns = [((1, 4),), ((2,), (3,)), ((1,),), ((1,),), ((5,),), ((5,),)]
+    patterns += [((x,), (0,)) for x in range(6, n)]
+    weights = {(0, 1): 1, (1, 2): 1, (1, 3): 1, (2, 1): 1, (3, 1): 1,
+               (0, 4): 10, (4, 5): 10, (5, 5): 0}
+    for x in range(6, n):
+        weights[(x, x)] = weights[(x, 0)] = 1
+    labels = [frozenset()] * n
+    labels[2] = labels[4] = frozenset({"a"})
+    labels[3] = labels[5] = frozenset({"b"})
+    m = md.Pkwts(n=n, initial=0, patterns=tuple(patterns), weights=weights,
+                 labels=tuple(labels))
+    assert len(m.unknown_states) == 13
+    strategy, value = sv.solve_regret(m, dfa)
+    assert value == 0
+    assert regret_of(strategy, m, dfa, cap=13) == 0
+    hub = hub_model(extra=12)
+    assert sv.best_response(hub, dfa, md.initial_knowledge(hub)) == INF
+
+
+def reference_best_response(m, a, suffix):
+    """Enumerating reference for BestResponse: the cheapest satisfying
+    cost over every completion of the refined model."""
+    k = md.KnowledgeSet(md.initial_knowledge(m).base, suffix)
+    return min(md.shortest_satisfying_cost(t, a)
+               for t in md.compatible_envs(md.refine(m, k)))
+
+
+def case_study():
+    m = gr.grid_compile(fixtures.CASE_STUDY_GRID)
+    return m, to_dfa(parse(fixtures.CASE_STUDY_TASK), {"fire", "extinguisher"})
+
+
+def test_best_response_matches_world_enumeration(dfa):
+    # every accepting vertex's knowledge, against the min over completions
+    cases = [(fixtures.t3(), dfa),
+             (gr.grid_compile(fixtures.FIG1_GRID),
+              to_dfa(parse(fixtures.FIG1_TASK), {"f"})),
+             case_study()]
+    cases += [(m, dfa) for m in random_models()]
+    for seed in range(40):
+        params = bench.GenParams(n_states=10, n_possible=4, min_cost=1,
+                                 max_cost=9, seed=seed)
+        cand = bench._candidate(Random(seed), params)
+        if cand is not None:
+            cases.append((cand, dfa))
+    assert len(cases) > 60
+    for m, a in cases:
+        arena = ar.build_arena(m, a)
+        br = sv.BestResponse(m, a)
+        for suffix in {arena.suffixes[arena.sfx[v]] for v in arena.accepting}:
+            assert br(suffix) == reference_best_response(m, a, suffix)
+
+
+def test_best_response_memo_ignores_exploration_order():
+    m, a = case_study()
+    suffix = tuple((x, m.patterns[x][-1]) for x in m.unknown_states)
+    assert len(suffix) >= 2
+    br = sv.BestResponse(m, a)
+    assert br(suffix) == br(suffix[::-1]) == reference_best_response(m, a, suffix)
+    assert len(br.memo) == 1
 
 
 def slots(arena, v):
