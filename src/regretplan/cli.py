@@ -20,7 +20,7 @@ from . import solver as sv
 from .arena import arena_to_json, build_arena
 from .errors import RegretPlanError
 from .execute import regret_of, run
-from .formula import dfa_to_json, parse, to_dfa
+from .formula import atoms_of, dfa_to_json, parse, to_dfa
 from .grid import grid_compile
 from .model import INF, load_env, load_model, model_to_json
 from .oracle import brute_force_optimal_regret
@@ -37,10 +37,7 @@ def _emit(data, out_path):
 
 def _task_dfa(task: str, extra_atoms=()):
     f = parse(task)
-    from .formula import atoms_of
-
-    atoms = set(atoms_of(f)) | set(extra_atoms)
-    return f, to_dfa(f, atoms)
+    return to_dfa(f, set(atoms_of(f)) | set(extra_atoms))
 
 
 def _parse_p_grid(spec: str):
@@ -69,8 +66,6 @@ def _json_value(value):
 
 def _cmd_compile(args):
     f = parse(args.formula)
-    from .formula import atoms_of
-
     atoms = set(args.atoms.split(",")) if args.atoms else set(atoms_of(f))
     _emit(dfa_to_json(to_dfa(f, atoms)), args.output)
     return 0
@@ -85,7 +80,7 @@ def _cmd_grid(args):
 
 def _cmd_solve(args):
     m = load_model(args.model)
-    _, dfa = _task_dfa(args.task, m.atoms)
+    dfa = _task_dfa(args.task, m.atoms)
     if args.objective == "regret":
         strategy, value = sv.solve_regret(m, dfa)
     elif args.objective == "worst":
@@ -115,7 +110,7 @@ def _cmd_exec(args):
     env = load_env(args.env)
     with open(args.strategy, "r", encoding="utf-8") as fh:
         task = json.load(fh)["task"]
-    _, dfa = _task_dfa(task, m.atoms)
+    dfa = _task_dfa(task, m.atoms)
     strategy, _ = _load_strategy(args.strategy, m, dfa)
     _emit(run(strategy, m, dfa, env).to_json(), args.output)
     return 0
@@ -123,7 +118,7 @@ def _cmd_exec(args):
 
 def _cmd_regret(args):
     m = load_model(args.model)
-    _, dfa = _task_dfa(args.task, m.atoms)
+    dfa = _task_dfa(args.task, m.atoms)
     strategy, _ = _load_strategy(args.strategy, m, dfa)
     value = regret_of(strategy, m, dfa)
     print("inf" if value == INF else value)
@@ -132,7 +127,7 @@ def _cmd_regret(args):
 
 def _cmd_oracle(args):
     m = load_model(args.model)
-    _, dfa = _task_dfa(args.task, m.atoms)
+    dfa = _task_dfa(args.task, m.atoms)
     value, strategy, checked = brute_force_optimal_regret(m, dfa)
     _emit(
         {
@@ -147,7 +142,7 @@ def _cmd_oracle(args):
 
 def _cmd_arena(args):
     m = load_model(args.model)
-    _, dfa = _task_dfa(args.task, m.atoms)
+    dfa = _task_dfa(args.task, m.atoms)
     _emit(arena_to_json(build_arena(m, dfa)), args.output)
     return 0
 

@@ -83,7 +83,8 @@ class SearchSpaceTooLarge(RegretPlanError):
 # --- generation / ingestion ---
 
 class GenerationFailed(RegretPlanError):
-    """Random model generation kept failing the realizability check."""
+    """Every random draw had an unknown state with no spare successor to
+    make optional."""
 
 
 class MalformedGrid(RegretPlanError):

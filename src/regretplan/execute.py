@@ -51,9 +51,6 @@ def run(strategy, m: Pkwts, a: Dfa, actual: Wts) -> RunRecord:
     on arrival, until the strategy stops."""
     if not is_compatible(actual, m):
         raise IncompatibleEnvironment("environment does not match the possible world")
-    reset = getattr(strategy, "reset", None)
-    if reset is not None:
-        reset()
 
     x = m.initial
     q = a.step(a.initial, m.labels[x])

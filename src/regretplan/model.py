@@ -298,11 +298,8 @@ class Product:
     adj: dict
     accepting: frozenset
 
-    def shortest_accepting_cost(self, source=None):
-        src = self.initial if source is None else source
-        if src not in self.adj:
-            return INF
-        dist, _ = dijkstra(self.adj, src)
+    def shortest_accepting_cost(self):
+        dist, _ = dijkstra(self.adj, self.initial)
         return min((dist[s] for s in self.accepting if s in dist), default=INF)
 
 

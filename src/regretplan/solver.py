@@ -329,31 +329,22 @@ def solve_regret(m: Pkwts, a: Dfa):
     arena = build_arena(m, a)
     esp = compute_e_sp(arena)
     mu = build_mu(arena, esp, BestResponse(m, a))
-    result = solve_minmax(arena, mu)
-    value = result.values[arena.v0]
-    if value == INF:
-        raise UnrealizableTask("no strategy wins in every compatible environment")
-    strategy = PositionalStrategy(
-        objective="regret",
-        value=value,
-        decisions=_reachable_decisions(arena, result.choices),
-    )
-    return strategy, value
+    return _positional("regret", arena, solve_minmax(arena, mu))
 
 
 def solve_worst_case(m: Pkwts, a: Dfa):
     """Strategy minimizing the worst-case total cost, and that cost."""
     arena = build_arena(m, a)
-    result = solve_minmax(arena, arena.wt)
+    return _positional("worst", arena, solve_minmax(arena, arena.wt))
+
+
+def _positional(objective: str, arena: Arena, result: MinMaxResult):
+    """The solved game's strategy from the initial vertex, and its value."""
     value = result.values[arena.v0]
     if value == INF:
         raise UnrealizableTask("no strategy wins in every compatible environment")
-    strategy = PositionalStrategy(
-        objective="worst",
-        value=value,
-        decisions=_reachable_decisions(arena, result.choices),
-    )
-    return strategy, value
+    decisions = _reachable_decisions(arena, result.choices)
+    return PositionalStrategy(objective, value, decisions), value
 
 
 class OnlinePolicy:
@@ -368,9 +359,6 @@ class OnlinePolicy:
         self.m = m
         self.a = a
         self.base = initial_knowledge(m).base
-
-    def reset(self):
-        pass  # planning state is recomputed from the knowledge suffix
 
     def decide(self, x: int, q: int, suffix):
         if q in self.a.accepting:

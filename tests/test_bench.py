@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from random import Random
 
 import pytest
 
@@ -29,6 +30,21 @@ def test_generate_no_possible_transitions_is_fully_known():
     assert m.fully_known
 
 
+# (shape, candidates drawn): paper defaults, one successor, several
+# targets, every non-initial state unknown on small models, more unknowns
+CANDIDATE_SHAPES = (
+    (dict(n_states=15), 40),
+    (dict(n_states=10, max_succ=1), 40),
+    (dict(n_states=12, n_targets=3, max_succ=3), 40),
+    (dict(n_states=6, n_targets=5), 40),
+    (dict(n_states=2, n_possible=1), 40),
+    (dict(n_states=3, n_possible=2), 40),
+    (dict(n_states=4, n_possible=3, max_succ=3), 40),
+    (dict(n_states=5, n_possible=4), 20),
+    (dict(n_states=8, n_possible=4), 5),
+)
+
+
 def test_generate_paper_defaults_realizable():
     params = bench.GenParams(n_states=15, seed=1)
     m = bench.generate(params)
@@ -37,7 +53,44 @@ def test_generate_paper_defaults_realizable():
     for x in range(m.n):
         base = min(m.patterns[x], key=len)
         assert 1 <= len(base) <= 2
-    sv.solve_worst_case(m, DFA)  # must not raise
+    # generate returns its first candidate without solving it: a
+    # worst-case solve of every candidate checks that each one is winnable
+    for shape, draws in CANDIDATE_SHAPES:
+        shape_params = bench.GenParams(seed=0, **shape)
+        rng = Random(17)
+        drawn = [bench._candidate(rng, shape_params) for _ in range(draws)]
+        candidates = [c for c in drawn if c is not None]
+        if shape_params.n_states == 2:
+            # state 1's only successor is state 0: none is left to make
+            # optional
+            assert candidates == []
+            continue
+        assert candidates, shape
+        for c in candidates:
+            assert len(c.unknown_states) == shape_params.n_possible
+            sv.solve_worst_case(c, DFA)  # must not raise
+
+
+def test_run_benchmark_builds_two_arenas_per_trial(monkeypatch):
+    # one arena for the regret solve and one for the worst-case solve;
+    # generating the model builds none
+    builds, models = [], []
+    build_arena, generate = sv.build_arena, bench.generate
+
+    def counting_build(*args):
+        builds.append(args)
+        return build_arena(*args)
+
+    def recording_generate(*args):
+        models.append(generate(*args))
+        return models[-1]
+
+    monkeypatch.setattr(sv, "build_arena", counting_build)
+    monkeypatch.setattr(bench, "generate", recording_generate)
+    config = bench.BenchConfig(states=(8,), p_values=(0.5,), trials=6, seed=3)
+    bench.run_benchmark(config)
+    assert len(models) == 6
+    assert len(builds) == 2 * len(models)
 
 
 def test_generate_connected_skeleton():
