@@ -8,13 +8,16 @@ carries the committed successor.
 
 Storage is flat.  Each knowledge suffix is interned once as an integer
 id in a trie keyed by (parent id, state, pattern index), with one row
-giving the observed pattern index of every state.  Vertices are numbered
-breadth-first and kept as parallel integer columns.  During the build
-only agent vertices are looked up, by one integer key: an env vertex has
-a single predecessor and is created once.  Edges are compressed sparse
-rows in vertex order, each row sorted by target, so an edge is an
-integer slot; a reverse index lists, per target, the slots entering it
-in order of source.
+giving the observed pattern index of every state.  Keyed by the row
+instead, the same construction yields the order-free quotient: a vertex
+is then (x, q, row), the suffix of an id lists the row's observations in
+ascending state order, and plays that observed the same patterns in
+different orders meet.  Vertices are numbered breadth-first and kept as
+parallel integer columns.  During the build only agent vertices are
+looked up, by one integer key: an env vertex has a single predecessor
+and is created once.  Edges are compressed sparse rows in vertex order,
+each row sorted by target, so an edge is an integer slot; a reverse
+index lists, per target, the slots entering it in order of source.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ ENV = "e"
 
 class _Rows:
     """Forward adjacency view: ``rows[u]`` lists u's (successor, weight)
-    pairs; ``get`` lets ``model.dijkstra`` read it as a mapping, in which
-    every vertex id has a row."""
+    pairs."""
 
     def __init__(self, start, dst, wt):
         self._start, self._dst, self._wt = start, dst, wt
@@ -46,11 +48,8 @@ class _Rows:
         return len(self._start) - 1
 
     def __getitem__(self, u):
-        return list(self.get(u))
-
-    def get(self, u, default=None):
         s, e = self._start[u], self._start[u + 1]
-        return zip(self._dst[s:e], self._wt[s:e])
+        return list(zip(self._dst[s:e], self._wt[s:e]))
 
     def __iter__(self):
         return (self[u] for u in range(len(self)))
@@ -66,6 +65,7 @@ class Arena:
     sfx: array               # id -> knowledge suffix id
     xhat: array              # id -> committed successor (env), -1 (agent)
     suffixes: tuple          # suffix id -> ((state, pattern), ...) in order
+                             # of exploration, or of state in the quotient
     v0: int
     accepting: tuple         # sorted agent vertex ids with accepting q
     start: array             # id -> first edge slot of its row; [n] = edges
@@ -113,8 +113,10 @@ class Arena:
         return zip(self.src, self.dst, self.wt)
 
 
-def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP) -> Arena:
-    """Breadth-first construction of everything reachable from the start."""
+def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
+                quotient: bool = False) -> Arena:
+    """Breadth-first construction of everything reachable from the start;
+    with ``quotient``, knowledge is interned by its observed-pattern row."""
     lab = [a.letter_index(m.labels[x]) for x in range(m.n)]
     patterns = m.patterns
 
@@ -122,17 +124,18 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP) -> Arena:
     # while unexplored) and the suffix itself
     rows = [array("i", [0 if len(p) == 1 else -1 for p in patterns])]
     suffixes = [()]
-    children = {}  # (parent id, state, pattern index) -> suffix id
+    children = {}  # (parent id, state, pattern index), or row -> suffix id
 
     def explore(sid, x, p):
-        key = (sid, x, p)
+        row = array("i", rows[sid])
+        row[x] = p
+        key = row.tobytes() if quotient else (sid, x, p)
         child = children.get(key)
         if child is None:
             child = children[key] = len(suffixes)
-            row = array("i", rows[sid])
-            row[x] = p
             rows.append(row)
-            suffixes.append(suffixes[sid] + ((x, patterns[x][p]),))
+            sfx = suffixes[sid] + ((x, patterns[x][p]),)
+            suffixes.append(tuple(sorted(sfx)) if quotient else sfx)
         return child
 
     kind = bytearray()

@@ -35,12 +35,12 @@ def t3() -> Pkwts:
 
 def t3_env_yes() -> Wts:
     """T3 environment where the shortcut exists."""
-    return compatible_envs(t3())[0]
+    return list(compatible_envs(t3()))[0]
 
 
 def t3_env_no() -> Wts:
     """T3 environment where the shortcut is walled off."""
-    return compatible_envs(t3())[1]
+    return list(compatible_envs(t3()))[1]
 
 
 T3_TASK = "F target"

@@ -252,28 +252,24 @@ def skeleton(m: Pkwts) -> Wts:
 
 
 def compatible_envs(m: Pkwts, cap: int = DEFAULT_UNKNOWN_CAP):
-    """Enumerate every compatible environment, lexicographic over pattern
-    indices in ascending state order."""
+    """Iterate over every compatible environment, lexicographic over
+    pattern indices in ascending state order.  The cap is checked at the
+    call, before any environment is built."""
     unknown = m.unknown_states
     if len(unknown) > cap:
         raise TooManyUnknowns(f"{len(unknown)} unknown states exceeds cap {cap}")
     combos = [range(len(m.patterns[x])) for x in range(m.n)]
-    envs = []
     # plain odometer over pattern indices keeps the order well-defined
-    for choice in itertools.product(*combos):
-        successors = tuple(
-            tuple(sorted(m.patterns[x][choice[x]])) for x in range(m.n)
+    return (
+        Wts(
+            n=m.n,
+            initial=m.initial,
+            successors=tuple(m.patterns[x][c] for x, c in enumerate(choice)),
+            weights=m.weights,
+            labels=m.labels,
         )
-        envs.append(
-            Wts(
-                n=m.n,
-                initial=m.initial,
-                successors=successors,
-                weights=m.weights,
-                labels=m.labels,
-            )
-        )
-    return envs
+        for choice in itertools.product(*combos)
+    )
 
 
 def is_compatible(t: Wts, m: Pkwts) -> bool:

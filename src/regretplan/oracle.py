@@ -47,14 +47,15 @@ def brute_force_optimal_regret(
     except ArenaTooLarge as exc:
         raise SearchSpaceTooLarge(str(exc)) from exc
 
-    envs = compatible_envs(m)
-    opts = [shortest_satisfying_cost(t, a) for t in envs]
-    if any(opt == INF for opt in opts):
-        return INF, None, 0
+    opts, env_move = [], []
+    for t in compatible_envs(m):
+        opts.append(shortest_satisfying_cost(t, a))
+        if opts[-1] == INF:
+            return INF, None, 0
+        env_move.append(_env_move_table(arena, t))
 
     accepting = set(arena.accepting)
     start, dst = arena.start, arena.dst
-    env_move = _env_move_tables(arena, envs)
     decisions: dict = {}
     costs: list = []
     best = [INF, None]
@@ -84,7 +85,7 @@ def brute_force_optimal_regret(
         if v in accepting:
             costs.append(cost)
             gap = cost - opts[env_idx]
-            if env_idx + 1 == len(envs):
+            if env_idx + 1 == len(opts):
                 score()
             else:
                 advance(env_idx + 1, arena.v0, 0, frozenset(), max(partial, gap))
@@ -115,27 +116,24 @@ def brute_force_optimal_regret(
     return best[0], strategy, evaluated[0]
 
 
-def _env_move_tables(arena: Arena, envs):
-    """Per environment: the unique move at every env vertex."""
-    tables = []
-    for env in envs:
-        table = {}
-        for v in range(arena.n):
-            if arena.is_agent(v):
-                continue
-            succs = arena.fwd[v]
-            if len(succs) == 1:
-                table[v] = succs[0]
-                continue
-            xhat = arena.xhat[v]
-            wanted = env.successors[xhat]
-            for t, w in succs:
-                sfx = arena.suffixes[arena.sfx[t]]
-                if sfx and sfx[-1] == (xhat, wanted):
-                    table[v] = (t, w)
-                    break
-        tables.append(table)
-    return tables
+def _env_move_table(arena: Arena, env):
+    """The unique move at every env vertex in one environment."""
+    table = {}
+    for v in range(arena.n):
+        if arena.is_agent(v):
+            continue
+        succs = arena.fwd[v]
+        if len(succs) == 1:
+            table[v] = succs[0]
+            continue
+        xhat = arena.xhat[v]
+        wanted = env.successors[xhat]
+        for t, w in succs:
+            sfx = arena.suffixes[arena.sfx[t]]
+            if sfx and sfx[-1] == (xhat, wanted):
+                table[v] = (t, w)
+                break
+    return table
 
 
 def _as_decision_map(arena: Arena, vertex_choices: dict, accepting) -> dict:

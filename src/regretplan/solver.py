@@ -1,16 +1,36 @@
 """Strategy synthesis on the knowledge-based arena.
 
-Regret and worst case share one game solver, a Dijkstra-order min-max
-solve; the best case plans on the refined skeleton:
+Regret and worst case share one path: build the order-free quotient of
+the arena, solve one Dijkstra-order min-max game over the movement
+weights, then walk the ordered plays the solved choices allow.  The
+objectives differ only in the value of an accepting vertex: 0 for the
+worst case, and minus the best response of its observed-pattern row for
+regret.  The best case plans on the refined skeleton.
 
-* regret: reweight edges so that finite-cost plays are exactly the
-  shortest plays, with each accepting edge charged the gap between that
-  play's cost and the best response for the knowledge collected; then
-  solve the min-max game.  The best response is one exact search that
-  picks unknown patterns lazily, memoized by the observed patterns.
-* worst case: min-max over the original movement weights.
-* best case: optimistic replanning on the refined skeleton, packaged as
-  an online policy.
+Why this solves the regret game:
+
+1. Regret is additive.  A strategy's regret is the largest, over its
+   plays, of the play's cost minus the best response of the knowledge at
+   its end; the best response depends only on the observed-pattern row.
+   Split at any vertex, that is the cost so far plus (future cost minus
+   br(final row)), so the min-max recursion with accepting vertices
+   seeded at -br(row) is the regret game.
+2. The ordered arena maps onto the quotient by forgetting the order of
+   the suffix, and the map is a bisimulation: it preserves kind, x, q,
+   row, committed successor, weights and acceptance, and carries each
+   successor list onto the successor list of the image.  So a vertex and
+   its image have the same value.
+3. The first-by-id tie-break picks the same successor.  An agent vertex's
+   env successors are created consecutively in ascending committed
+   successor order in both forms, and the round-trip test reads only the
+   same (x, q) in both, so both forms pick the same committed successor.
+
+The paper's shortest-play reduction (charge cost minus best response on
+edges entering an accepting vertex, forbid edges on no cheapest play) is
+not equivalent on multi-goal tasks: a cheaper play can reach the same
+ordered vertex only in worlds the agent cannot count on, and dropping
+the dearer one overestimates regret
+(tests/test_solver.py::test_regret_counterexample_to_shortest_play_reduction).
 """
 
 from __future__ import annotations
@@ -141,78 +161,8 @@ def best_response(m: Pkwts, a: Dfa, k: KnowledgeSet):
 
 
 # ---------------------------------------------------------------------------
-# shortest-play edge set and the regret weight function
-
-class EspResult(NamedTuple):
-    edges: set        # slots of the edges on some cheapest play to a final
-    dist: dict        # forward distances from the initial vertex
-
-
-def compute_e_sp(arena: Arena) -> EspResult:
-    """Shortest-play edges: the tight edges (``dist[u] + w == dist[v]``)
-    from which a path of tight edges reaches a reachable accepting vertex.
-
-    Along any path the slack ``dist[u] + w - dist[v]`` is nonnegative and
-    telescopes, so a path from v0 is a cheapest play to its end exactly
-    when every edge on it is tight.
-    """
-    dist, _ = dijkstra(arena.fwd, arena.v0)  # every vertex is reachable
-    for u, v, w in arena.edges():
-        if dist[u] + w < dist[v]:
-            raise SolverInvariantError(
-                f"edge ({u},{v}) undercuts the shortest distance to {v}")
-    finals = [v for v in arena.accepting if v in dist]
-    if not finals:
-        raise UnrealizableTask("no accepting vertex is reachable")
-    src, wt, rev_start, rev_edge = (
-        arena.src, arena.wt, arena.rev_start, arena.rev_edge)
-    edges = set()
-    on_play = bytearray(arena.n)
-    for v in finals:
-        on_play[v] = 1
-    stack = finals
-    while stack:
-        v = stack.pop()
-        dv = dist[v]
-        for e in rev_edge[rev_start[v]:rev_start[v + 1]]:
-            u = src[e]
-            if dist[u] + wt[e] == dv:
-                edges.add(e)
-                if not on_play[u]:
-                    on_play[u] = 1
-                    stack.append(u)
-    return EspResult(edges=edges, dist=dist)
-
-
-def build_mu(arena: Arena, esp: EspResult, br_fn) -> list:
-    """Regret weight of each edge slot: zero on commitments and on
-    shortest-play movement, infinite off the shortest plays, and
-    cheapest-play cost minus best response on edges entering an accepting
-    vertex."""
-    accepting = bytearray(arena.n)
-    for v in arena.accepting:
-        accepting[v] = 1
-    kind, esp_edges = arena.kind, esp.edges
-    mu = []
-    for e, (u, v) in enumerate(zip(arena.src, arena.dst)):
-        if not kind[u]:
-            mu.append(0)
-        elif e not in esp_edges:
-            mu.append(INF)
-        elif accepting[v]:
-            value = esp.dist[v] - br_fn(arena.suffixes[arena.sfx[v]])
-            if value < 0:
-                raise SolverInvariantError(
-                    f"best response exceeds shortest-play cost at vertex {v}")
-            mu.append(value)
-        else:
-            mu.append(0)
-    return mu
-
-
-# ---------------------------------------------------------------------------
-# min-max game solve (env maximizes, agent minimizes, accepting vertices
-# pinned to zero)
+# min-max game solve (env maximizes, agent minimizes, each accepting
+# vertex pinned to its terminal value)
 
 class MinMaxResult(NamedTuple):
     values: list
@@ -220,28 +170,35 @@ class MinMaxResult(NamedTuple):
     sweeps: int     # vertices settled, i.e. vertices with a finite value
 
 
-def solve_minmax(arena: Arena, weights) -> MinMaxResult:
-    """Min-cost reachability game with nonnegative weights, one per edge
-    slot, solved in Dijkstra order (Khachiyan et al., ToCS 2008; Brihaye
-    et al., Acta Informatica 2017).
+def solve_minmax(arena: Arena, terminal) -> MinMaxResult:
+    """Min-cost reachability game over the movement weights, with each
+    accepting vertex worth ``terminal(v)``, solved in Dijkstra order
+    (Khachiyan et al., ToCS 2008; Brihaye et al., Acta Informatica 2017).
 
     Vertices settle in nondecreasing value from the accepting ones.  An
     agent vertex settles at its first pop, which is its cheapest move; an
     env vertex is pushed once its last successor has settled, at the
-    largest ``value + weight``.  An infinite edge, or a successor that
-    never settles, leaves a vertex at INF.  Each vertex settles at most
-    once, so ``sweeps`` counts the vertices with a finite value.
+    largest ``value + weight``.  A play stops at its first accepting
+    vertex, so accepting vertices keep their terminal value and are never
+    relaxed.  A successor that never settles leaves a vertex at INF.  Each
+    vertex settles at most once, so ``sweeps`` counts the vertices with a
+    finite value.
     """
     n = arena.n
-    kind, start, dst, src = arena.kind, arena.start, arena.dst, arena.src
+    kind, start, dst, src, wt = (
+        arena.kind, arena.start, arena.dst, arena.src, arena.wt)
     rev_start, rev_edge = arena.rev_start, arena.rev_edge
     values = [INF] * n  # final once settled; an agent's best offer before
+    final = bytearray(n)
+    heap = []
     for v in arena.accepting:
-        values[v] = 0
+        final[v] = 1
+        values[v] = terminal(v)
+        heap.append((values[v], v))
+    heapq.heapify(heap)
     unsettled_succs = [start[v + 1] - start[v] for v in range(n)]
-    worst = [0] * n  # env: max of value + weight over settled successors
+    worst = [-INF] * n  # env: max of value + weight over settled successors
     settled = bytearray(n)
-    heap = [(0, v) for v in arena.accepting]
     sweeps = 0
     while heap:
         d, v = heapq.heappop(heap)
@@ -252,12 +209,9 @@ def solve_minmax(arena: Arena, weights) -> MinMaxResult:
         sweeps += 1
         for e in rev_edge[rev_start[v]:rev_start[v + 1]]:
             u = src[e]
-            if settled[u]:
+            if settled[u] or final[u]:
                 continue
-            w = weights[e]
-            if w == INF:
-                continue
-            cand = d + w
+            cand = d + wt[e]
             if not kind[u]:
                 if cand < values[u]:
                     values[u] = cand
@@ -268,14 +222,12 @@ def solve_minmax(arena: Arena, weights) -> MinMaxResult:
                 unsettled_succs[u] -= 1
                 if unsettled_succs[u] == 0:
                     heapq.heappush(heap, (worst[u], u))
-    log.debug("min-max settled %d of %d vertices", sweeps, n)
 
-    accepting = set(arena.accepting)
     choices = {}
     for v in range(n):
         if kind[v]:
             continue
-        if v in accepting:
+        if final[v]:
             choices[v] = None
         elif values[v] < INF:
             best = None
@@ -283,7 +235,7 @@ def solve_minmax(arena: Arena, weights) -> MinMaxResult:
                 t = dst[e]
                 if _is_round_trip(arena, t, v):
                     continue
-                if values[t] + weights[e] == values[v]:
+                if values[t] + wt[e] == values[v]:
                     best = t
                     break  # successors are sorted by id: first hit wins ties
             if best is None:
@@ -300,24 +252,33 @@ def _is_round_trip(arena: Arena, env_v: int, agent_v: int) -> bool:
 
 
 def _reachable_decisions(arena: Arena, choices: dict) -> dict:
-    """Restrict a vertex-indexed decision map to play-reachable vertices,
-    keyed by (state, automaton state, knowledge suffix)."""
-    kind, start, dst = arena.kind, arena.start, arena.dst
+    """Walk the plays the choices allow, carrying each play's ordered
+    knowledge suffix, and key every decision met by (state, automaton
+    state, suffix)."""
+    kind, start, dst, sfx, xhat = (
+        arena.kind, arena.start, arena.dst, arena.sfx, arena.xhat)
     decisions = {}
-    seen = {arena.v0}
-    stack = [arena.v0]
+    seen = {(arena.v0, ())}
+    stack = [(arena.v0, ())]
     while stack:
-        v = stack.pop()
+        v, suffix = stack.pop()
         if not kind[v]:
             go = choices[v]
-            decisions[arena.vertex(v)[1:]] = None if go is None else arena.xhat[go]
-            nxt = () if go is None else (go,)
+            decisions[(arena.x[v], arena.q[v], suffix)] = (
+                None if go is None else xhat[go])
+            nxt = () if go is None else ((go, suffix),)
         else:
-            nxt = dst[start[v]:start[v + 1]]
-        for t in nxt:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
+            nxt = []
+            for t in dst[start[v]:start[v + 1]]:
+                if sfx[t] == sfx[v]:
+                    nxt.append((t, suffix))
+                else:  # t observed the pattern at the committed state
+                    pattern = dict(arena.suffixes[sfx[t]])[xhat[v]]
+                    nxt.append((t, suffix + ((xhat[v], pattern),)))
+        for item in nxt:
+            if item not in seen:
+                seen.add(item)
+                stack.append(item)
     return decisions
 
 
@@ -326,20 +287,25 @@ def _reachable_decisions(arena: Arena, choices: dict) -> dict:
 
 def solve_regret(m: Pkwts, a: Dfa):
     """Regret-minimizing strategy and its regret value."""
-    arena = build_arena(m, a)
-    esp = compute_e_sp(arena)
-    mu = build_mu(arena, esp, BestResponse(m, a))
-    return _positional("regret", arena, solve_minmax(arena, mu))
+    arena = build_arena(m, a, quotient=True)
+    br = BestResponse(m, a)
+
+    def terminal(v):
+        return -br(arena.suffixes[arena.sfx[v]])
+    return _positional("regret", arena, solve_minmax(arena, terminal))
 
 
 def solve_worst_case(m: Pkwts, a: Dfa):
     """Strategy minimizing the worst-case total cost, and that cost."""
-    arena = build_arena(m, a)
-    return _positional("worst", arena, solve_minmax(arena, arena.wt))
+    arena = build_arena(m, a, quotient=True)
+    return _positional("worst", arena, solve_minmax(arena, lambda v: 0))
 
 
 def _positional(objective: str, arena: Arena, result: MinMaxResult):
     """The solved game's strategy from the initial vertex, and its value."""
+    log.debug("%s game: %d vertices, %d edges, %d settled, %d distinct rows",
+              objective, arena.n, len(arena.dst), result.sweeps,
+              len(arena.suffixes))
     value = result.values[arena.v0]
     if value == INF:
         raise UnrealizableTask("no strategy wins in every compatible environment")

@@ -125,8 +125,11 @@ def test_criterion_4_property_suite(instance_suite):
         assert report.equality_attained, (idx, report.violations)
         assert report.max_regret == report.max_bound == value, idx
 
+        # every play of the regret strategy is a cheapest play to its
+        # final vertex: true on this F target suite, not in general (see
+        # test_regret_counterexample_to_shortest_play_reduction)
         arena = ar.build_arena(m, TARGET_DFA)
-        dist = sv.compute_e_sp(arena).dist
+        dist, _ = md.dijkstra(dict(enumerate(arena.fwd)), arena.v0)
         for env in md.compatible_envs(m):
             rec = run(strategy, m, TARGET_DFA, env)
             assert rec.satisfied, (idx, "strategy not winning")
@@ -140,7 +143,7 @@ def test_criterion_4_property_suite(instance_suite):
         if m.fully_known:
             checked_fully_known += 1
             assert value == 0, idx
-            env = md.compatible_envs(m)[0]
+            env = list(md.compatible_envs(m))[0]
             rec = run(strategy, m, TARGET_DFA, env)
             assert rec.cost == md.shortest_satisfying_cost(env, TARGET_DFA), idx
     assert checked_fully_known > 0

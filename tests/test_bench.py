@@ -77,9 +77,9 @@ def test_run_benchmark_builds_two_arenas_per_trial(monkeypatch):
     builds, models = [], []
     build_arena, generate = sv.build_arena, bench.generate
 
-    def counting_build(*args):
+    def counting_build(*args, **kwargs):
         builds.append(args)
-        return build_arena(*args)
+        return build_arena(*args, **kwargs)
 
     def recording_generate(*args):
         models.append(generate(*args))

@@ -138,8 +138,8 @@ def test_refine_commutes_with_knowledge_growth(t3):
 # compatible environments
 
 def test_compatible_envs_counts(t3):
-    assert len(md.compatible_envs(fully_known_line())) == 1
-    envs = md.compatible_envs(t3)
+    assert len(list(md.compatible_envs(fully_known_line()))) == 1
+    envs = list(md.compatible_envs(t3))
     assert len(envs) == 2
     assert envs[0].successors[1] == (3,)
     assert envs[1].successors[1] == (0,)
@@ -159,7 +159,7 @@ def test_compatible_envs_product_count():
                  (2, 3): 1, (2, 0): 1, (3, 3): 0},
         labels=(frozenset(), frozenset(), frozenset(), frozenset({"target"})),
     )
-    envs = md.compatible_envs(m)
+    envs = list(md.compatible_envs(m))
     assert len(envs) == 4
     assert all(md.is_compatible(t, m) for t in envs)
 

@@ -46,7 +46,7 @@ def test_oracle_fully_known_zero(dfa):
     )
     value, strategy, _ = orc.brute_force_optimal_regret(m, dfa)
     assert value == 0
-    assert run(strategy, m, dfa, md.compatible_envs(m)[0]).cost == 5
+    assert run(strategy, m, dfa, list(md.compatible_envs(m))[0]).cost == 5
 
 
 def test_oracle_unrealizable(dfa):
@@ -151,10 +151,10 @@ def lookback_optimal_regret(m, dfa):
     """Minimum regret over strategies that may also condition on the
     previous agent vertex (one step of memory)."""
     arena = ar.build_arena(m, dfa)
-    envs = md.compatible_envs(m)
+    envs = list(md.compatible_envs(m))
     opts = [md.shortest_satisfying_cost(t, dfa) for t in envs]
     accepting = set(arena.accepting)
-    move = orc._env_move_tables(arena, envs)
+    move = [orc._env_move_table(arena, t) for t in envs]
 
     decisions = {}
     costs = []
