@@ -81,19 +81,17 @@ def _cmd_grid(args):
 def _cmd_solve(args):
     m = load_model(args.model)
     dfa = _task_dfa(args.task, m.atoms)
-    if args.objective == "regret":
-        strategy, value = sv.solve_regret(m, dfa)
-    elif args.objective == "worst":
-        strategy, value = sv.solve_worst_case(m, dfa)
-    else:
-        strategy, value = sv.best_case_policy(m, dfa), None
     if args.objective == "best":
         data = {"objective": "best", "value": None, "decisions": None}
+        shown = "online"
     else:
+        # an unwinnable task raises, so the value is always finite
+        solve = sv.solve_regret if args.objective == "regret" else sv.solve_worst_case
+        strategy, shown = solve(m, dfa)
         data = strategy.to_json()
     data["task"] = args.task
     _emit(data, args.output)
-    print("inf" if value == INF else ("online" if value is None else value))
+    print(shown)
     return 0
 
 

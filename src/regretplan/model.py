@@ -170,9 +170,6 @@ class KnowledgeSet:
     def obs(self, x: int):
         return self._omap[x]
 
-    def explored_states(self):
-        return frozenset(self._omap)
-
     def items(self):
         return self.base + self.suffix
 
@@ -294,10 +291,6 @@ class Product:
     adj: dict
     accepting: frozenset
 
-    def shortest_accepting_cost(self):
-        dist, _ = dijkstra(self.adj, self.initial)
-        return min((dist[s] for s in self.accepting if s in dist), default=INF)
-
 
 def product(t: Wts, a: Dfa) -> Product:
     model_atoms = set().union(*t.labels)
@@ -327,58 +320,66 @@ def product(t: Wts, a: Dfa) -> Product:
 
 def shortest_satisfying_cost(t: Wts, a: Dfa):
     """Cost of the cheapest path whose trace is a good prefix; INF if none."""
-    return product(t, a).shortest_accepting_cost()
+    prod = product(t, a)
+    return next((d for s, d in dijkstra(prod.adj, prod.initial)
+                 if s in prod.accepting), INF)
 
 
 # ---------------------------------------------------------------------------
 # shortest paths
 
 def dijkstra(adj: Mapping, source):
-    """Single-source shortest distances with deterministic tie-breaking.
+    """Yield (vertex, dist) for each vertex reachable from source, in settle
+    order: nondecreasing dist, so a caller stops at its answer.
 
     ``adj`` maps a vertex to an iterable of (successor, weight) pairs;
     only ``adj.get(u, default)`` is used, so a generator method serves.
-    Returns (dist, pred); unreachable vertices are absent from dist.
-    Ties prefer the smallest vertex, so reconstructed paths are unique.
+    A heap entry is stale exactly when its distance exceeds dist.
     """
     dist = {source: 0}
-    pred = {source: None}
     heap = [(0, source)]
-    done = set()
     while heap:
         d, u = heapq.heappop(heap)
-        if u in done:
+        if d > dist[u]:
             continue
-        done.add(u)
+        yield u, d
         for v, w in adj.get(u, ()):
             if w < 0:
                 raise NegativeWeight(f"edge ({u},{v}) has negative weight {w}")
             nd = d + w
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
-                pred[v] = u
                 heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and v not in done and pred[v] is not None and u < pred[v]:
-                pred[v] = u
-    return dist, pred
 
 
 def shortest_path_to(adj: Mapping, source, targets):
-    """Cheapest path from source to the target set; (cost, path) or (INF, None)."""
-    dist, pred = dijkstra(adj, source)
-    best = None
-    for s in targets:
-        if s in dist and (best is None or (dist[s], s) < (dist[best], best)):
-            best = s
+    """Cheapest path from source to the target set; (cost, path) or (INF, None).
+
+    Ties pick the least (cost, target), then, walking back, the least vertex
+    settled before each vertex on a tight edge.  All of these lie within the
+    first target's distance D and settle as in a full search, but a
+    zero-weight edge can settle one after the first target, so the search
+    stops only past level D.
+    """
+    rank, dist, best = {}, {}, None
+    for u, d in dijkstra(adj, source):
+        if best is not None and d > dist[best]:
+            break
+        rank[u], dist[u] = len(rank), d
+        if u in targets and (best is None or u < best):
+            best = u
     if best is None:
         return INF, None
-    path = []
-    cur = best
-    while cur is not None:
-        path.append(cur)
-        cur = pred[cur]
-    path.reverse()
-    return dist[best], path
+    pred = {}
+    for u in rank:
+        for v, w in adj.get(u, ()):
+            if (rank.get(v, -1) > rank[u] and dist[u] + w == dist[v]
+                    and (v not in pred or u < pred[v])):
+                pred[v] = u
+    path = [best]
+    while path[-1] != source:
+        path.append(pred[path[-1]])
+    return dist[best], path[::-1]
 
 
 # ---------------------------------------------------------------------------

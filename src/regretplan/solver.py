@@ -113,9 +113,10 @@ class BestResponse:
     or -1 until a path first leaves that state.  Leaving it branches over
     its patterns and fixes the pick, so every search path lives in one
     world, and each world's cheapest satisfying path is a search path.
-    Accepting vertices end a path and are not expanded.  The value
-    depends on which patterns were observed, not in what order, so the
-    memo is keyed by the order-free ``row``.
+    Accepting vertices end a path, and the search stops at the first one
+    settled, the cheapest.  The value depends on which patterns were
+    observed, not in what order, so the memo is keyed by the order-free
+    ``row``.
     """
 
     def __init__(self, m: Pkwts, a: Dfa):
@@ -133,9 +134,8 @@ class BestResponse:
         if row not in self.memo:
             m, a = self.m, self.a
             q0 = a.trans[a.initial][self.lab[m.initial]]
-            dist, _ = dijkstra(self, (m.initial, q0, row))
-            self.memo[row] = min((d for (_, q, _), d in dist.items()
-                                  if q in a.accepting), default=INF)
+            search = dijkstra(self, (m.initial, q0, row))
+            self.memo[row] = next((d for (_, q, _), d in search if q in a.accepting), INF)
         return self.memo[row]
 
     def get(self, u, default=None):

@@ -129,7 +129,7 @@ def test_criterion_4_property_suite(instance_suite):
         # final vertex: true on this F target suite, not in general (see
         # test_regret_counterexample_to_shortest_play_reduction)
         arena = ar.build_arena(m, TARGET_DFA)
-        dist, _ = md.dijkstra(dict(enumerate(arena.fwd)), arena.v0)
+        dist = dict(md.dijkstra(dict(enumerate(arena.fwd)), arena.v0))
         for env in md.compatible_envs(m):
             rec = run(strategy, m, TARGET_DFA, env)
             assert rec.satisfied, (idx, "strategy not winning")

@@ -96,8 +96,8 @@ def test_run_benchmark_builds_two_arenas_per_trial(monkeypatch):
 def test_generate_connected_skeleton():
     m = bench.generate(bench.GenParams(n_states=10, n_possible=2, seed=5))
     sk = md.skeleton(m)
-    dist, _ = md.dijkstra(
-        {x: tuple((y, 1) for y in sk.successors[x]) for x in range(m.n)}, 0)
+    dist = dict(md.dijkstra(
+        {x: tuple((y, 1) for y in sk.successors[x]) for x in range(m.n)}, 0))
     assert set(dist) == set(range(m.n))
 
 

@@ -1,6 +1,8 @@
 """World-model operations: skeleton, knowledge, refinement, products, paths."""
 
+import heapq
 import math
+from random import Random
 
 import pytest
 
@@ -182,7 +184,7 @@ def test_product_accepting_at_start(target_dfa):
     )
     p = md.product(m, target_dfa)
     assert p.initial in p.accepting
-    assert p.shortest_accepting_cost() == 0
+    assert md.shortest_satisfying_cost(m, target_dfa) == 0
 
 
 def test_product_costs_on_t3_envs(target_dfa):
@@ -226,19 +228,19 @@ def test_product_path_acceptance_matches_dfa(target_dfa):
 
 def test_dijkstra_source_in_targets():
     adj = {0: ((1, 5),), 1: ()}
-    dist, _ = md.dijkstra(adj, 0)
+    dist = dict(md.dijkstra(adj, 0))
     assert dist[0] == 0
 
 
 def test_dijkstra_unreachable_is_absent():
     adj = {0: ((1, 5),), 1: (), 2: ()}
-    dist, _ = md.dijkstra(adj, 0)
+    dist = dict(md.dijkstra(adj, 0))
     assert 2 not in dist
 
 
 def test_dijkstra_negative_weight():
     with pytest.raises(NegativeWeight):
-        md.dijkstra({0: ((1, -1),), 1: ()}, 0)
+        list(md.dijkstra({0: ((1, -1),), 1: ()}, 0))
 
 
 def test_shortest_path_reconstruction():
@@ -246,6 +248,75 @@ def test_shortest_path_reconstruction():
     cost, path = md.shortest_path_to(adj, 0, {2})
     assert cost == 2
     assert path == [0, 1, 2]
+
+
+def reference_dijkstra(adj, source):
+    """Exhaustive Dijkstra keeping, for each vertex, the least vertex
+    settled before it on a tight edge; returns (dist, pred)."""
+    dist = {source: 0}
+    pred = {source: None}
+    heap = [(0, source)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, w in adj.get(u, ()):
+            nd = d + w
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+            elif nd == dist[v] and v not in done and pred[v] is not None and u < pred[v]:
+                pred[v] = u
+    return dist, pred
+
+
+def reference_path_to(adj, source, targets):
+    dist, pred = reference_dijkstra(adj, source)
+    reached = [(dist[s], s) for s in targets if s in dist]
+    if not reached:
+        return INF, None
+    cost, cur = min(reached)
+    path = []
+    while cur is not None:
+        path.append(cur)
+        cur = pred[cur]
+    return cost, path[::-1]
+
+
+def test_shortest_path_picks_least_target_settled_after_the_first():
+    # target 2 settles first, but target 1 costs the same and is less
+    adj = {0: ((2, 1),), 2: ((1, 0),), 1: ()}
+    assert md.shortest_path_to(adj, 0, {1, 2}) == (1, [0, 2, 1])
+
+
+def test_shortest_path_predecessor_tie_prefers_least_vertex():
+    # 1 and 4 both reach 2 at cost 2; 1 is less
+    adj = {0: ((3, 1), (4, 1)), 3: ((1, 0),), 4: ((2, 1),), 1: ((2, 1),), 2: ()}
+    assert md.shortest_path_to(adj, 0, {2}) == (2, [0, 3, 1, 2])
+
+
+def test_shortest_path_matches_exhaustive_reference():
+    # zero-weight edges and few distinct weights make many equal-cost ties
+    rng = Random(7)
+    long_paths = target_ties = 0
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        adj = {
+            u: tuple((rng.randrange(n), rng.choice((0, 0, 1, 1, 2)))
+                     for _ in range(rng.randint(1, 4)))
+            for u in range(n)
+        }
+        targets = set(rng.sample(range(1, n), rng.randint(1, n - 1)))
+        cost, path = reference_path_to(adj, 0, targets)
+        assert md.shortest_path_to(adj, 0, targets) == (cost, path), (adj, targets)
+        if path is not None:
+            dist, _ = reference_dijkstra(adj, 0)
+            long_paths += len(path) > 2
+            target_ties += sum(dist.get(t) == cost for t in targets) > 1
+    assert long_paths > 100 and target_ties > 100
 
 
 def test_history_checker(t3):

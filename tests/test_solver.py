@@ -79,6 +79,34 @@ def test_best_response_fully_known(dfa):
     assert sv.best_response(m, dfa, k0) == 5
 
 
+def test_best_response_stops_at_first_accepting_vertex(dfa):
+    # unknown state 1 leads to the target (cost 2) or to a 20-cost detour
+    # through 3 and 4; the search must not expand past distance 2
+    m = md.Pkwts(
+        n=5,
+        initial=0,
+        patterns=(((1,),), ((2,), (3,)), ((2,),), ((4,),), ((2,),)),
+        weights={(0, 1): 1, (1, 2): 1, (1, 3): 1, (3, 4): 10, (4, 2): 10,
+                 (2, 2): 0},
+        labels=(frozenset(), frozenset(), frozenset({"target"}),
+                frozenset(), frozenset()),
+    )
+    # search vertex (x, q, row) -> distance, keyed by x and row
+    distance = {(0, (-1,)): 0, (1, (-1,)): 1, (2, (0,)): 2, (3, (1,)): 2,
+                (4, (1,)): 12, (2, (1,)): 22}
+
+    class Recording(sv.BestResponse):
+        def get(self, u, default=None):
+            self.expanded.append(distance[u[0], u[2]])
+            return super().get(u, default)
+
+    br = Recording(m, dfa)
+    br.expanded = []
+    assert br(()) == 2
+    assert br.expanded and max(br.expanded) <= 2
+    assert sv.BestResponse(m, dfa)(((1, (3,)),)) == 22
+
+
 # ---------------------------------------------------------------------------
 # the paper's shortest-play reduction, kept as a test-side reference
 
