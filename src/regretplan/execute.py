@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from .errors import IncompatibleEnvironment, NonTermination, StrategyIncomplete
 from .formula import Dfa
 from .model import (
+    DEFAULT_UNKNOWN_CAP,
     INF,
     KnowledgeSet,
     Pkwts,
@@ -87,12 +88,11 @@ def run(strategy, m: Pkwts, a: Dfa, actual: Wts) -> RunRecord:
     )
 
 
-def regret_of(strategy, m: Pkwts, a: Dfa, cap: int = None):
+def regret_of(strategy, m: Pkwts, a: Dfa, cap: int = DEFAULT_UNKNOWN_CAP):
     """Worst case, over compatible environments, of realized cost minus
     that environment's cheapest satisfying cost."""
-    kwargs = {} if cap is None else {"cap": cap}
     worst = -INF
-    for t in compatible_envs(m, **kwargs):
+    for t in compatible_envs(m, cap):
         rec = run(strategy, m, a, t)
         if not rec.satisfied:
             return INF

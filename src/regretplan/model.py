@@ -285,11 +285,23 @@ def is_compatible(t: Wts, m: Pkwts) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Product:
-    """Reachable part of environment x automaton, with movement weights."""
+    """Environment x automaton over (state, automaton state) vertices,
+    searched on the fly: ``get`` yields successors with movement weights."""
 
     initial: tuple
-    adj: dict
-    accepting: frozenset
+    successors: tuple
+    weights: dict
+    lab: tuple      # letter index of each state's label
+    dfa: Dfa
+
+    def get(self, u, default=None):
+        x, q = u
+        trans = self.dfa.trans[q]
+        for y in self.successors[x]:
+            yield (y, trans[self.lab[y]]), self.weights[(x, y)]
+
+    def accepting(self, u) -> bool:
+        return u[1] in self.dfa.accepting
 
 
 def product(t: Wts, a: Dfa) -> Product:
@@ -298,31 +310,16 @@ def product(t: Wts, a: Dfa) -> Product:
         raise AtomMismatch(
             f"model atoms {sorted(model_atoms)} not covered by automaton atoms "
             f"{list(a.atoms)}")
-    lab = [a.letter_index(t.labels[x]) for x in range(t.n)]
-    s0 = (t.initial, a.trans[a.initial][lab[t.initial]])
-    adj = {}
-    queue = [s0]
-    while queue:
-        s = queue.pop()
-        if s in adj:
-            continue
-        x, q = s
-        out = []
-        for y in t.successors[x]:
-            succ = (y, a.trans[q][lab[y]])
-            out.append((succ, t.weights[(x, y)]))
-            if succ not in adj:
-                queue.append(succ)
-        adj[s] = tuple(out)
-    accepting = frozenset(s for s in adj if s[1] in a.accepting)
-    return Product(initial=s0, adj=adj, accepting=accepting)
+    lab = tuple(a.letter_index(t.labels[x]) for x in range(t.n))
+    return Product(initial=(t.initial, a.trans[a.initial][lab[t.initial]]),
+                   successors=t.successors, weights=t.weights, lab=lab, dfa=a)
 
 
 def shortest_satisfying_cost(t: Wts, a: Dfa):
     """Cost of the cheapest path whose trace is a good prefix; INF if none."""
     prod = product(t, a)
-    return next((d for s, d in dijkstra(prod.adj, prod.initial)
-                 if s in prod.accepting), INF)
+    return next((d for s, d in dijkstra(prod, prod.initial)
+                 if prod.accepting(s)), INF)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +349,9 @@ def dijkstra(adj: Mapping, source):
                 heapq.heappush(heap, (nd, v))
 
 
-def shortest_path_to(adj: Mapping, source, targets):
-    """Cheapest path from source to the target set; (cost, path) or (INF, None).
+def shortest_path_to(adj: Mapping, source, is_target):
+    """Cheapest path from source to a vertex satisfying ``is_target``;
+    (cost, path) or (INF, None).
 
     Ties pick the least (cost, target), then, walking back, the least vertex
     settled before each vertex on a tight edge.  All of these lie within the
@@ -366,7 +364,7 @@ def shortest_path_to(adj: Mapping, source, targets):
         if best is not None and d > dist[best]:
             break
         rank[u], dist[u] = len(rank), d
-        if u in targets and (best is None or u < best):
+        if is_target(u) and (best is None or u < best):
             best = u
     if best is None:
         return INF, None

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .arena import Arena, build_arena
@@ -48,17 +48,7 @@ from .errors import (
     UnrealizableTask,
 )
 from .formula import Dfa
-from .model import (
-    INF,
-    KnowledgeSet,
-    Pkwts,
-    dijkstra,
-    initial_knowledge,
-    product,
-    refine,
-    shortest_path_to,
-    skeleton,
-)
+from .model import INF, Pkwts, dijkstra, product, shortest_path_to, skeleton
 
 log = logging.getLogger("regretplan.solver")
 
@@ -155,7 +145,7 @@ class BestResponse:
                 yield succ, self.m.weights[(x, y)]
 
 
-def best_response(m: Pkwts, a: Dfa, k: KnowledgeSet):
+def best_response(m: Pkwts, a: Dfa, k):
     """One-off best-response query; see BestResponse."""
     return BestResponse(m, a)(k.suffix)
 
@@ -316,23 +306,25 @@ def _positional(objective: str, arena: Arena, result: MinMaxResult):
 class OnlinePolicy:
     """Optimistic replanner: always treats the refined skeleton as the
     real world and follows its cheapest satisfying path, replanning as
-    observations arrive."""
+    observations arrive.  Refining pins each explored state to the pattern
+    it showed, so a decision patches those rows of the skeleton's product,
+    built once, and runs one settle-order search on it."""
 
     objective = "best"
     value = None
 
     def __init__(self, m: Pkwts, a: Dfa):
-        self.m = m
         self.a = a
-        self.base = initial_knowledge(m).base
+        self.prod = product(skeleton(m), a)
 
     def decide(self, x: int, q: int, suffix):
         if q in self.a.accepting:
             return None
-        refined = refine(self.m, KnowledgeSet(self.base, suffix))
-        prod = product(skeleton(refined), self.a)
-        source = (x, q)
-        cost, path = shortest_path_to(prod.adj, source, prod.accepting)
+        successors = list(self.prod.successors)
+        for y, o in suffix:
+            successors[y] = o
+        prod = replace(self.prod, successors=successors)
+        cost, path = shortest_path_to(prod, (x, q), prod.accepting)
         if path is None:
             raise StuckNoPath(
                 f"no satisfying path from state {x} under current knowledge")

@@ -106,7 +106,7 @@ def test_fully_known_arena_mirrors_product(dfa):
     agent_states = {
         (arena.x[v], arena.q[v]) for v in range(arena.n) if arena.is_agent(v)
     }
-    assert agent_states == set(prod.adj)
+    assert agent_states == {s for s, _ in md.dijkstra(prod, prod.initial)}
     for vid in range(arena.n):
         if not arena.is_agent(vid):
             assert len(arena.fwd[vid]) == 1

@@ -8,6 +8,7 @@ import pytest
 
 from regretplan import fixtures
 from regretplan import model as md
+from regretplan import solver as sv
 from regretplan.errors import (
     AtomMismatch,
     InconsistentKnowledge,
@@ -183,7 +184,7 @@ def test_product_accepting_at_start(target_dfa):
         labels=(frozenset({"target"}), frozenset()),
     )
     p = md.product(m, target_dfa)
-    assert p.initial in p.accepting
+    assert p.accepting(p.initial)
     assert md.shortest_satisfying_cost(m, target_dfa) == 0
 
 
@@ -202,6 +203,9 @@ def test_product_rejects_atom_mismatch(target_dfa):
     )
     with pytest.raises(AtomMismatch):
         md.product(m, target_dfa)
+    # the optimistic policy builds its product once, when it is made
+    with pytest.raises(AtomMismatch):
+        sv.best_case_policy(m.to_pkwts(), target_dfa)
 
 
 def test_product_path_acceptance_matches_dfa(target_dfa):
@@ -218,10 +222,10 @@ def test_product_path_acceptance_matches_dfa(target_dfa):
             for path in paths:
                 s = (env.initial, target_dfa.step(target_dfa.initial,
                                                   env.labels[env.initial]))
-                in_acc = s in p.accepting
+                in_acc = p.accepting(s)
                 for y in path[1:]:
-                    s = next(t for t, _ in p.adj[s] if t[0] == y)
-                    in_acc = s in p.accepting
+                    s = next(t for t, _ in p.get(s) if t[0] == y)
+                    in_acc = p.accepting(s)
                 trace = [env.labels[x] for x in path]
                 assert in_acc == target_dfa.accepts(trace), path
 
@@ -245,7 +249,7 @@ def test_dijkstra_negative_weight():
 
 def test_shortest_path_reconstruction():
     adj = {0: ((1, 1), (2, 5)), 1: ((2, 1),), 2: ()}
-    cost, path = md.shortest_path_to(adj, 0, {2})
+    cost, path = md.shortest_path_to(adj, 0, {2}.__contains__)
     assert cost == 2
     assert path == [0, 1, 2]
 
@@ -289,13 +293,13 @@ def reference_path_to(adj, source, targets):
 def test_shortest_path_picks_least_target_settled_after_the_first():
     # target 2 settles first, but target 1 costs the same and is less
     adj = {0: ((2, 1),), 2: ((1, 0),), 1: ()}
-    assert md.shortest_path_to(adj, 0, {1, 2}) == (1, [0, 2, 1])
+    assert md.shortest_path_to(adj, 0, {1, 2}.__contains__) == (1, [0, 2, 1])
 
 
 def test_shortest_path_predecessor_tie_prefers_least_vertex():
     # 1 and 4 both reach 2 at cost 2; 1 is less
     adj = {0: ((3, 1), (4, 1)), 3: ((1, 0),), 4: ((2, 1),), 1: ((2, 1),), 2: ()}
-    assert md.shortest_path_to(adj, 0, {2}) == (2, [0, 3, 1, 2])
+    assert md.shortest_path_to(adj, 0, {2}.__contains__) == (2, [0, 3, 1, 2])
 
 
 def test_shortest_path_matches_exhaustive_reference():
@@ -311,7 +315,7 @@ def test_shortest_path_matches_exhaustive_reference():
         }
         targets = set(rng.sample(range(1, n), rng.randint(1, n - 1)))
         cost, path = reference_path_to(adj, 0, targets)
-        assert md.shortest_path_to(adj, 0, targets) == (cost, path), (adj, targets)
+        assert md.shortest_path_to(adj, 0, targets.__contains__) == (cost, path), (adj, targets)
         if path is not None:
             dist, _ = reference_dijkstra(adj, 0)
             long_paths += len(path) > 2

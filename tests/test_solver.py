@@ -315,6 +315,79 @@ def test_best_case_policy_stuck(dfa):
         run(policy, trap_model(), dfa, bad_env)
 
 
+def reference_online_decide(m, a, x, q, suffix):
+    """The optimistic decision as refine -> skeleton -> eager product ->
+    shortest path: the chain the policy once rebuilt at every step."""
+    if q in a.accepting:
+        return None
+    t = md.skeleton(md.refine(m, md.KnowledgeSet(md.initial_knowledge(m).base, suffix)))
+    lab = [a.letter_index(t.labels[y]) for y in range(t.n)]
+    s0 = (t.initial, a.trans[a.initial][lab[t.initial]])
+    adj, queue = {}, [s0]
+    while queue:
+        s = queue.pop()
+        if s in adj:
+            continue
+        u, qu = s
+        adj[s] = tuple(((y, a.trans[qu][lab[y]]), t.weights[(u, y)])
+                       for y in t.successors[u])
+        queue.extend(v for v, _ in adj[s] if v not in adj)
+    _, path = md.shortest_path_to(adj, (x, q), lambda s: s[1] in a.accepting)
+    if path is None:
+        raise StuckNoPath(f"no satisfying path from state {x}")
+    return path[1][0]
+
+
+class CheckedPolicy:
+    """The optimistic policy, checked against the reference at every
+    decision a run meets."""
+
+    def __init__(self, m, a):
+        self.m, self.a = m, a
+        self.inner = sv.best_case_policy(m, a)
+        self.decisions = 0
+
+    def decide(self, x, q, suffix):
+        self.decisions += 1
+        try:
+            expected = reference_online_decide(self.m, self.a, x, q, suffix)
+        except StuckNoPath:
+            with pytest.raises(StuckNoPath):
+                self.inner.decide(x, q, suffix)
+            raise
+        assert self.inner.decide(x, q, suffix) == expected, (x, q, suffix)
+        return expected
+
+
+def test_best_case_policy_matches_rebuilt_chain(dfa):
+    # patching the skeleton product's successor table decides exactly as
+    # refining, taking the skeleton and rebuilding its product did
+    cases = regret_cases(dfa) + [(trap_model(), dfa)]
+    decisions = stuck = 0
+    for m, a in cases:
+        policy = CheckedPolicy(m, a)
+        for env in md.compatible_envs(m):
+            try:
+                run(policy, m, a, env)
+            except StuckNoPath:
+                stuck += 1
+        decisions += policy.decisions
+    assert decisions > 500 and stuck > 0
+
+
+def test_best_case_policy_builds_no_model_per_decision(t3, dfa, monkeypatch):
+    envs = list(md.compatible_envs(t3))
+    policy = sv.best_case_policy(t3, dfa)
+    built = []
+    for cls in (md.Wts, md.Pkwts):
+        init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, init=init: built.append(self) or init(self))
+    paths = [run(policy, t3, dfa, env).path for env in envs]
+    assert paths == [(0, 1, 3), (0, 1, 0, 2, 3)]
+    assert built == []
+
+
 def test_strategy_json_roundtrip(t3, dfa):
     strategy, _ = sv.solve_regret(t3, dfa)
     back = sv.PositionalStrategy.from_json(strategy.to_json())
