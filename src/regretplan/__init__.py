@@ -19,7 +19,6 @@ from .model import (
     model_from_json,
     model_to_json,
     product,
-    refine,
     skeleton,
     update,
 )
@@ -28,7 +27,6 @@ from .solver import (
     OnlinePolicy,
     PositionalStrategy,
     best_case_policy,
-    best_response,
     solve_regret,
     solve_worst_case,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "RunRecord",
     "Wts",
     "best_case_policy",
-    "best_response",
     "brute_force_optimal_regret",
     "build_arena",
     "check_regret_bound",
@@ -65,7 +62,6 @@ __all__ = [
     "play_cost",
     "product",
     "progress",
-    "refine",
     "regret_of",
     "run",
     "run_benchmark",

@@ -12,12 +12,19 @@ giving the observed pattern index of every state.  Keyed by the row
 instead, the same construction yields the order-free quotient: a vertex
 is then (x, q, row), the suffix of an id lists the row's observations in
 ascending state order, and plays that observed the same patterns in
-different orders meet.  Vertices are numbered breadth-first and kept as
+different orders meet.  The quotient also contracts every env vertex
+with a single successor: a move into a known or already explored state
+is one agent->agent edge carrying the movement weight, and only a move
+that reveals an unexplored state keeps an env vertex.  The vertex cap
+still counts each contracted env vertex, so it bounds the uncontracted
+size in both forms.  Vertices are numbered breadth-first and kept as
 parallel integer columns.  During the build only agent vertices are
 looked up, by one integer key: an env vertex has a single predecessor
 and is created once.  Edges are compressed sparse rows in vertex order,
-each row sorted by target, so an edge is an integer slot; a reverse
-index lists, per target, the slots entering it in order of source.
+so an edge is an integer slot.  An agent's row lists its moves in
+ascending committed successor, which in the ordered arena is also target
+order; an env row is sorted by target.  A reverse index lists, per
+target, the slots entering it in order of source.
 """
 
 from __future__ import annotations
@@ -57,7 +64,8 @@ class _Rows:
 
 @dataclass(frozen=True, eq=False)
 class Arena:
-    """Reachable game graph with movement weights on env->agent edges."""
+    """Reachable game graph with movement weights on the edges entering
+    agent vertices."""
 
     kind: bytearray          # id -> 0 on agent vertices, 1 on env vertices
     x: array                 # id -> physical state
@@ -70,7 +78,8 @@ class Arena:
     accepting: tuple         # sorted agent vertex ids with accepting q
     start: array             # id -> first edge slot of its row; [n] = edges
     src: array               # edge slot -> source id
-    dst: array               # edge slot -> target id, sorted within a row
+    dst: array               # edge slot -> target id; agent rows in committed
+                             # successor order, env rows sorted by target
     wt: list                 # edge slot -> movement weight, 0 on commitments
     rev_start: array         # id -> first entry of its row in rev_edge
     rev_edge: array          # slots entering each vertex, sorted by source
@@ -116,7 +125,8 @@ class Arena:
 def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
                 quotient: bool = False) -> Arena:
     """Breadth-first construction of everything reachable from the start;
-    with ``quotient``, knowledge is interned by its observed-pattern row."""
+    with ``quotient``, knowledge is interned by its observed-pattern row
+    and only moves that reveal a pattern keep an env vertex."""
     lab = [a.letter_index(m.labels[x]) for x in range(m.n)]
     patterns = m.patterns
 
@@ -141,11 +151,17 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
     kind = bytearray()
     xs, qs, sfxs, xhats = array("i"), array("i"), array("i"), array("i")
     agent_ids = {}  # (sfx * |Q| + q) * |X| + x -> agent vertex id
+    size = 0  # vertices of the uncontracted arena, checked against cap
+
+    def grow():
+        nonlocal size
+        size += 1
+        if size > cap:
+            raise ArenaTooLarge(f"arena exceeded {cap} vertices")
 
     def add(k, x, q, sid, xhat):
+        grow()
         vid = len(kind)
-        if vid >= cap:
-            raise ArenaTooLarge(f"arena exceeded {cap} vertices")
         kind.append(k)
         xs.append(x)
         qs.append(q)
@@ -165,23 +181,31 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
     u = 0
     while u < len(kind):  # vertices are appended in BFS order
         x, q, sid = xs[u], qs[u], sfxs[u]
+        row = rows[sid]
         if not kind[u]:
-            w = 0
-            succs = [add(1, x, q, sid, xhat)
-                     for xhat in patterns[x][rows[sid][x]]]
+            for xhat in patterns[x][row[x]]:
+                if quotient and row[xhat] >= 0:
+                    grow()  # the env vertex this edge contracts
+                    v = agent(xhat, a.trans[q][lab[xhat]], sid)
+                    w = m.weights[(x, xhat)]
+                else:
+                    v, w = add(1, x, q, sid, xhat), 0
+                src.append(u)
+                dst.append(v)
+                wt.append(w)
         else:
             xhat = xhats[u]
             q2 = a.trans[q][lab[xhat]]
             w = m.weights[(x, xhat)]
-            if rows[sid][xhat] >= 0:
+            if row[xhat] >= 0:
                 succs = (agent(xhat, q2, sid),)
             else:
                 succs = sorted([agent(xhat, q2, explore(sid, xhat, p))
                                 for p in range(len(patterns[xhat]))])
-        for v in succs:
-            src.append(u)
-            dst.append(v)
-            wt.append(w)
+            for v in succs:
+                src.append(u)
+                dst.append(v)
+                wt.append(w)
         start.append(len(dst))
         u += 1
 

@@ -200,21 +200,6 @@ def update(k: KnowledgeSet, kn) -> KnowledgeSet:
     return KnowledgeSet(k.base, k.suffix + ((x, o),))
 
 
-def refine(m: Pkwts, k: KnowledgeSet) -> Pkwts:
-    """Pin explored states to their observed pattern."""
-    patterns = tuple(
-        ((k.obs(x),) if k.explored(x) else m.patterns[x]) for x in range(m.n)
-    )
-    return Pkwts(
-        n=m.n,
-        initial=m.initial,
-        patterns=patterns,
-        weights=m.weights,
-        labels=m.labels,
-        coins=m.coins,
-    )
-
-
 def check_history(m: Pkwts, history) -> bool:
     """Validate a knowledge sequence: moves follow observations, repeated
     states repeat their observation, observations come from the model."""

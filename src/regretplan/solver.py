@@ -15,15 +15,19 @@ Why this solves the regret game:
    Split at any vertex, that is the cost so far plus (future cost minus
    br(final row)), so the min-max recursion with accepting vertices
    seeded at -br(row) is the regret game.
-2. The ordered arena maps onto the quotient by forgetting the order of
-   the suffix, and the map is a bisimulation: it preserves kind, x, q,
-   row, committed successor, weights and acceptance, and carries each
-   successor list onto the successor list of the image.  So a vertex and
-   its image have the same value.
-3. The first-by-id tie-break picks the same successor.  An agent vertex's
-   env successors are created consecutively in ascending committed
-   successor order in both forms, and the round-trip test reads only the
-   same (x, q) in both, so both forms pick the same committed successor.
+2. The quotient is the ordered arena with the order of the suffix
+   forgotten and every single-successor env vertex contracted into the
+   edge that enters it.  Forgetting the order preserves kind, x, q, row,
+   committed successor, weights and acceptance, and carries each
+   successor list onto the image's; an env vertex with one move is worth
+   that move's value plus its weight, which is what the contracted edge
+   charges.  So an agent vertex and its image have the same value.
+3. The tie-break picks the same committed successor.  Both forms list an
+   agent's moves in ascending committed successor and take the first
+   move that attains the value, skipping a move that returns to the
+   deciding vertex: an env vertex whose only move goes back, which the
+   quotient contracts to a self-edge.  A move that reveals a pattern
+   leads to a new row and never returns.
 
 The paper's shortest-play reduction (charge cost minus best response on
 edges entering an accepting vertex, forbid edges on no cheapest play) is
@@ -145,11 +149,6 @@ class BestResponse:
                 yield succ, self.m.weights[(x, y)]
 
 
-def best_response(m: Pkwts, a: Dfa, k):
-    """One-off best-response query; see BestResponse."""
-    return BestResponse(m, a)(k.suffix)
-
-
 # ---------------------------------------------------------------------------
 # min-max game solve (env maximizes, agent minimizes, each accepting
 # vertex pinned to its terminal value)
@@ -172,7 +171,10 @@ def solve_minmax(arena: Arena, terminal) -> MinMaxResult:
     vertex, so accepting vertices keep their terminal value and are never
     relaxed.  A successor that never settles leaves a vertex at INF.  Each
     vertex settles at most once, so ``sweeps`` counts the vertices with a
-    finite value.
+    finite value.  An agent chooses its first move in row order that
+    attains its value, never a self-edge: in the quotient, that is a goal
+    self-loop's move, which makes no progress.  (The ordered arena routes
+    that move through an env vertex, which is not skipped.)
     """
     n = arena.n
     kind, start, dst, src, wt = (
@@ -223,30 +225,23 @@ def solve_minmax(arena: Arena, terminal) -> MinMaxResult:
             best = None
             for e in range(start[v], start[v + 1]):
                 t = dst[e]
-                if _is_round_trip(arena, t, v):
+                if t == v:  # a self-edge (goal self-loops) makes no progress
                     continue
                 if values[t] + wt[e] == values[v]:
                     best = t
-                    break  # successors are sorted by id: first hit wins ties
+                    break  # moves ascend by committed successor: first hit wins
             if best is None:
                 raise SolverInvariantError(f"no witness successor at vertex {v}")
             choices[v] = best
     return MinMaxResult(values=values, choices=choices, sweeps=sweeps)
 
 
-def _is_round_trip(arena: Arena, env_v: int, agent_v: int) -> bool:
-    # an env vertex whose only move returns to the same agent vertex can
-    # never make progress (designated goal self-loops produce these)
-    s = arena.start[env_v]
-    return arena.start[env_v + 1] == s + 1 and arena.dst[s] == agent_v
-
-
 def _reachable_decisions(arena: Arena, choices: dict) -> dict:
     """Walk the plays the choices allow, carrying each play's ordered
     knowledge suffix, and key every decision met by (state, automaton
     state, suffix)."""
-    kind, start, dst, sfx, xhat = (
-        arena.kind, arena.start, arena.dst, arena.sfx, arena.xhat)
+    kind, start, dst, sfx, x, xhat = (
+        arena.kind, arena.start, arena.dst, arena.sfx, arena.x, arena.xhat)
     decisions = {}
     seen = {(arena.v0, ())}
     stack = [(arena.v0, ())]
@@ -254,17 +249,13 @@ def _reachable_decisions(arena: Arena, choices: dict) -> dict:
         v, suffix = stack.pop()
         if not kind[v]:
             go = choices[v]
-            decisions[(arena.x[v], arena.q[v], suffix)] = (
-                None if go is None else xhat[go])
+            decisions[(x[v], arena.q[v], suffix)] = (
+                None if go is None else xhat[go] if kind[go] else x[go])
             nxt = () if go is None else ((go, suffix),)
-        else:
-            nxt = []
-            for t in dst[start[v]:start[v + 1]]:
-                if sfx[t] == sfx[v]:
-                    nxt.append((t, suffix))
-                else:  # t observed the pattern at the committed state
-                    pattern = dict(arena.suffixes[sfx[t]])[xhat[v]]
-                    nxt.append((t, suffix + ((xhat[v], pattern),)))
+        else:  # each successor observed the pattern at the committed state
+            y = xhat[v]
+            nxt = [(t, suffix + ((y, dict(arena.suffixes[sfx[t]])[y]),))
+                   for t in dst[start[v]:start[v + 1]]]
         for item in nxt:
             if item not in seen:
                 seen.add(item)

@@ -118,26 +118,52 @@ def quotient_image(arena, v):
 
 
 def test_quotient_is_the_order_free_image_of_the_arena():
-    # forgetting the exploration order maps the ordered arena onto the
-    # quotient, with the same weights, acceptance and successor lists; an
-    # agent's successors keep their order, which decides the tie-break
+    # forgetting the exploration order and contracting every env vertex
+    # with one successor maps the ordered arena onto the quotient: an agent
+    # maps to an agent, a branching env vertex to an env vertex, and a
+    # single-successor env vertex to the edge from its agent to the image
+    # of its successor, with the same weight; an agent's moves keep their
+    # order, which decides the tie-break
     m = grid_compile(fixtures.CASE_STUDY_GRID)
     a = to_dfa(parse("F fire"), {"fire", "extinguisher"})
     ordered = ar.build_arena(m, a)
     quotient = ar.build_arena(m, a, quotient=True)
     ids = {quotient.vertex(v): v for v in range(quotient.n)}
     assert len(ids) == quotient.n < ordered.n
-    image = [ids[quotient_image(ordered, v)] for v in range(ordered.n)]
-    assert set(image) == set(range(quotient.n))
-    assert image[ordered.v0] == quotient.v0
-    assert {image[v] for v in ordered.accepting} == set(quotient.accepting)
+
+    def image(v):
+        return ids[quotient_image(ordered, v)]
+
+    def move(e):
+        succs = ordered.fwd[e]
+        return succs[0] if len(succs) == 1 else (e, 0)
+
+    images = set()
     for v in range(ordered.n):
-        succs = [(image[t], w) for t, w in ordered.fwd[v]]
-        if not ordered.is_agent(v):
-            succs.sort()
-        assert succs == quotient.fwd[image[v]]
+        if ordered.is_agent(v):
+            moves = [move(e) for e, _ in ordered.fwd[v]]
+        elif len(ordered.fwd[v]) > 1:
+            moves = sorted(ordered.fwd[v])
+        else:
+            continue
+        images.add(image(v))
+        assert [(image(t), w) for t, w in moves] == quotient.fwd[image(v)]
+    assert images == set(range(quotient.n))
+    assert image(ordered.v0) == quotient.v0
+    assert {image(v) for v in ordered.accepting} == set(quotient.accepting)
     for sfx in quotient.suffixes:
         assert list(sfx) == sorted(sfx)
+
+
+def test_quotient_cap_counts_contracted_env_vertices():
+    # the cap counts the uncontracted quotient, 34,482 vertices on the
+    # case study, so contracting pass-through env vertices leaves the set
+    # of models that raise ArenaTooLarge unchanged
+    m = grid_compile(fixtures.CASE_STUDY_GRID)
+    a = to_dfa(parse(fixtures.CASE_STUDY_TASK), {"fire", "extinguisher"})
+    with pytest.raises(ArenaTooLarge):
+        ar.build_arena(m, a, cap=34_481, quotient=True)
+    assert ar.build_arena(m, a, cap=34_482, quotient=True).n == 10_448
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +309,7 @@ def test_case_study_build_allocation_peak():
 
 
 def test_case_study_quotient_build_allocation_peak():
-    # 34,482 vertices; measured at 4.4 MB, and the bound keeps the
+    # 10,448 vertices; measured at 2.2 MB, and the bound keeps the
     # ordered build's ratio of bound to measured peak (100 MB over 34 MB)
     m = grid_compile(fixtures.CASE_STUDY_GRID)
     a = to_dfa(parse(fixtures.CASE_STUDY_TASK), {"fire", "extinguisher"})
@@ -293,5 +319,5 @@ def test_case_study_quotient_build_allocation_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert arena.n == 34_482
-    assert peak <= 13 * 2 ** 20, peak / 2 ** 20
+    assert arena.n == 10_448
+    assert peak <= 7 * 2 ** 20, peak / 2 ** 20

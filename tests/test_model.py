@@ -109,16 +109,26 @@ def test_knowledge_equality_ignores_base(t3):
 
 
 # ---------------------------------------------------------------------------
-# refine
+# refine: the reference model of a knowledge record, read by the
+# optimistic-policy and best-response references in test_solver.py
+
+def refine(m, k):
+    """Pin explored states to their observed pattern."""
+    patterns = tuple(
+        ((k.obs(x),) if k.explored(x) else m.patterns[x]) for x in range(m.n)
+    )
+    return md.Pkwts(n=m.n, initial=m.initial, patterns=patterns,
+                    weights=m.weights, labels=m.labels, coins=m.coins)
+
 
 def test_refine_with_initial_knowledge_is_identity(t3):
-    refined = md.refine(t3, md.initial_knowledge(t3))
+    refined = refine(t3, md.initial_knowledge(t3))
     assert refined.patterns == t3.patterns
 
 
 def test_refine_resolves_unknown(t3):
     k = md.update(md.initial_knowledge(t3), (1, (3,)))
-    refined = md.refine(t3, k)
+    refined = refine(t3, k)
     assert refined.patterns[1] == ((3,),)
     assert refined.fully_known
     assert md.is_compatible(fixtures.t3_env_yes(), refined)
@@ -127,14 +137,14 @@ def test_refine_resolves_unknown(t3):
 
 def test_refine_idempotent(t3):
     k = md.update(md.initial_knowledge(t3), (1, (0,)))
-    once = md.refine(t3, k)
-    assert md.refine(once, k).patterns == once.patterns
+    once = refine(t3, k)
+    assert refine(once, k).patterns == once.patterns
 
 
 def test_refine_commutes_with_knowledge_growth(t3):
     k0 = md.initial_knowledge(t3)
     k1 = md.update(k0, (1, (3,)))
-    assert md.refine(md.refine(t3, k0), k1).patterns == md.refine(t3, k1).patterns
+    assert refine(refine(t3, k0), k1).patterns == refine(t3, k1).patterns
 
 
 # ---------------------------------------------------------------------------
