@@ -15,16 +15,21 @@ ascending state order, and plays that observed the same patterns in
 different orders meet.  The quotient also contracts every env vertex
 with a single successor: a move into a known or already explored state
 is one agent->agent edge carrying the movement weight, and only a move
-that reveals an unexplored state keeps an env vertex.  The vertex cap
-still counts each contracted env vertex, so it bounds the uncontracted
-size in both forms.  Vertices are numbered breadth-first and kept as
-parallel integer columns.  During the build only agent vertices are
-looked up, by one integer key: an env vertex has a single predecessor
-and is created once.  Edges are compressed sparse rows in vertex order,
-so an edge is an integer slot.  An agent's row lists its moves in
-ascending committed successor, which in the ordered arena is also target
-order; an env row is sorted by target.  A reverse index lists, per
-target, the slots entering it in order of source.
+that reveals an unexplored state keeps an env vertex.  And it ends at
+acceptance: a play's payoff is fixed there, so an accepting vertex gets
+an empty row, and since accepting automaton states are absorbing, what
+is dropped is only agent and env vertices with accepting q.  The vertex
+cap counts each contracted env vertex and each accepting vertex, but no
+successor of an accepting one: it bounds the uncontracted arena in the
+ordered form, and the uncontracted arena up to acceptance in the
+quotient.  Vertices are numbered breadth-first and kept as parallel
+integer columns.  During the build only agent vertices are looked up,
+by one integer key: an env vertex has a single predecessor and is
+created once.  Edges are compressed sparse rows in vertex order, so an
+edge is an integer slot.  An agent's row lists its moves in ascending
+committed successor, which in the ordered arena is also target order;
+an env row is sorted by target.  A reverse index lists, per target, the
+slots entering it in order of source.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ class _Rows:
 @dataclass(frozen=True, eq=False)
 class Arena:
     """Reachable game graph with movement weights on the edges entering
-    agent vertices."""
+    agent vertices; in the quotient, reachable up to acceptance, and an
+    accepting vertex's row is empty."""
 
     kind: bytearray          # id -> 0 on agent vertices, 1 on env vertices
     x: array                 # id -> physical state
@@ -125,8 +131,10 @@ class Arena:
 def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
                 quotient: bool = False) -> Arena:
     """Breadth-first construction of everything reachable from the start;
-    with ``quotient``, knowledge is interned by its observed-pattern row
-    and only moves that reveal a pattern keep an env vertex."""
+    with ``quotient``, knowledge is interned by its observed-pattern row,
+    only moves that reveal a pattern keep an env vertex, and accepting
+    vertices have no moves.  ``cap`` bounds the uncontracted vertex count
+    (ArenaTooLarge)."""
     lab = [a.letter_index(m.labels[x]) for x in range(m.n)]
     patterns = m.patterns
 
@@ -182,7 +190,9 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
     while u < len(kind):  # vertices are appended in BFS order
         x, q, sid = xs[u], qs[u], sfxs[u]
         row = rows[sid]
-        if not kind[u]:
+        if quotient and q in a.accepting:
+            pass  # acceptance ends every play: an accepting row stays empty
+        elif not kind[u]:
             for xhat in patterns[x][row[x]]:
                 if quotient and row[xhat] >= 0:
                     grow()  # the env vertex this edge contracts

@@ -28,6 +28,17 @@ Why this solves the regret game:
    deciding vertex: an env vertex whose only move goes back, which the
    quotient contracts to a self-edge.  A move that reveals a pattern
    leads to a new row and never returns.
+4. Ending the quotient at acceptance and deriving best responses are
+   exact.  A play stops at its first accepting vertex, and the game
+   solve pins accepting vertices and never relaxes them, so the moves of
+   an accepting vertex and every vertex reached only through them
+   change no value or choice of a vertex a play can meet before
+   acceptance; the quotient builds neither.  The worlds consistent with
+   a row are the union, over the patterns of any one unexplored state,
+   of the worlds of the row that fixes it, so the row's best response is
+   the least of theirs.  The regret solve evaluates its seeds from the
+   most-observed row down, so most partly observed rows find those rows
+   memoized and need no search.
 
 The paper's shortest-play reduction (charge cost minus best response on
 edges entering an accepting vertex, forbid edges on no cheapest play) is
@@ -111,14 +122,25 @@ class BestResponse:
     settled, the cheapest.  The value depends on which patterns were
     observed, not in what order, so the memo is keyed by the order-free
     ``row``.
+
+    A row's completions split by the pattern of any one unexplored state
+    j, so its value is the least value of the rows that fix j.  Before it
+    searches, a call looks for a j whose rows are all memoized and takes
+    that least value instead.  It looks one level only: recursing over
+    every completion would enumerate the worlds the lazy search avoids.
+    ``searches`` and ``derived`` count the two paths.
     """
 
     def __init__(self, m: Pkwts, a: Dfa):
         self.m = m
         self.a = a
         self.lab = [a.letter_index(m.labels[x]) for x in range(m.n)]
-        self.slot = {x: j for j, x in enumerate(m.unknown_states)}
+        unknown = m.unknown_states
+        self.slot = {x: j for j, x in enumerate(unknown)}
+        self.n_patterns = [len(m.patterns[x]) for x in unknown]
         self.memo = {}
+        self.searches = 0
+        self.derived = 0
 
     def __call__(self, suffix) -> object:
         row = [-1] * len(self.slot)
@@ -126,11 +148,22 @@ class BestResponse:
             row[self.slot[x]] = self.m.patterns[x].index(tuple(o))
         row = tuple(row)
         if row not in self.memo:
-            m, a = self.m, self.a
-            q0 = a.trans[a.initial][self.lab[m.initial]]
-            search = dijkstra(self, (m.initial, q0, row))
-            self.memo[row] = next((d for (_, q, _), d in search if q in a.accepting), INF)
+            self.memo[row] = self._value(row)
         return self.memo[row]
+
+    def _value(self, row):
+        memo = self.memo
+        for j, k in enumerate(self.n_patterns):
+            if row[j] < 0:
+                split = [row[:j] + (p,) + row[j + 1:] for p in range(k)]
+                if all(r in memo for r in split):
+                    self.derived += 1
+                    return min(memo[r] for r in split)
+        self.searches += 1
+        m, a = self.m, self.a
+        q0 = a.trans[a.initial][self.lab[m.initial]]
+        search = dijkstra(self, (m.initial, q0, row))
+        return next((d for (_, q, _), d in search if q in a.accepting), INF)
 
     def get(self, u, default=None):
         """Search successors of ``u`` with their movement weights."""
@@ -271,9 +304,16 @@ def solve_regret(m: Pkwts, a: Dfa):
     arena = build_arena(m, a, quotient=True)
     br = BestResponse(m, a)
 
-    def terminal(v):
-        return -br(arena.suffixes[arena.sfx[v]])
-    return _positional("regret", arena, solve_minmax(arena, terminal))
+    def suffix(v):
+        return arena.suffixes[arena.sfx[v]]
+    # most-observed rows first, so that a partly observed row finds the
+    # rows of its completions memoized; ties keep vertex order
+    order = sorted(arena.accepting, key=lambda v: -len(suffix(v)))
+    seeds = {v: -br(suffix(v)) for v in order}
+    result = solve_minmax(arena, seeds.__getitem__)
+    return _positional("regret", arena, result,
+                       f", {br.searches} best-response searches,"
+                       f" {br.derived} derived")
 
 
 def solve_worst_case(m: Pkwts, a: Dfa):
@@ -282,11 +322,12 @@ def solve_worst_case(m: Pkwts, a: Dfa):
     return _positional("worst", arena, solve_minmax(arena, lambda v: 0))
 
 
-def _positional(objective: str, arena: Arena, result: MinMaxResult):
+def _positional(objective: str, arena: Arena, result: MinMaxResult,
+                note: str = ""):
     """The solved game's strategy from the initial vertex, and its value."""
-    log.debug("%s game: %d vertices, %d edges, %d settled, %d distinct rows",
+    log.debug("%s game: %d vertices, %d edges, %d settled, %d distinct rows%s",
               objective, arena.n, len(arena.dst), result.sweeps,
-              len(arena.suffixes))
+              len(arena.suffixes), note)
     value = result.values[arena.v0]
     if value == INF:
         raise UnrealizableTask("no strategy wins in every compatible environment")

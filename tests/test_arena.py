@@ -119,11 +119,12 @@ def quotient_image(arena, v):
 
 def test_quotient_is_the_order_free_image_of_the_arena():
     # forgetting the exploration order and contracting every env vertex
-    # with one successor maps the ordered arena onto the quotient: an agent
-    # maps to an agent, a branching env vertex to an env vertex, and a
-    # single-successor env vertex to the edge from its agent to the image
-    # of its successor, with the same weight; an agent's moves keep their
-    # order, which decides the tie-break
+    # with one successor maps the ordered arena, walked up to acceptance,
+    # onto the quotient: an agent maps to an agent, a branching env vertex
+    # to an env vertex, and a single-successor env vertex to the edge from
+    # its agent to the image of its successor, with the same weight; an
+    # agent's moves keep their order, which decides the tie-break; an
+    # accepting vertex ends every play, so its image has an empty row
     m = grid_compile(fixtures.CASE_STUDY_GRID)
     a = to_dfa(parse("F fire"), {"fire", "extinguisher"})
     ordered = ar.build_arena(m, a)
@@ -138,9 +139,22 @@ def test_quotient_is_the_order_free_image_of_the_arena():
         succs = ordered.fwd[e]
         return succs[0] if len(succs) == 1 else (e, 0)
 
+    accepting = set(ordered.accepting)
+    reached, stack = {ordered.v0}, [ordered.v0]
+    while stack:
+        v = stack.pop()
+        if v not in accepting:
+            for t, _ in ordered.fwd[v]:
+                if t not in reached:
+                    reached.add(t)
+                    stack.append(t)
+    assert len(reached) < ordered.n
+
     images = set()
-    for v in range(ordered.n):
-        if ordered.is_agent(v):
+    for v in sorted(reached):
+        if v in accepting:
+            moves = []
+        elif ordered.is_agent(v):
             moves = [move(e) for e, _ in ordered.fwd[v]]
         elif len(ordered.fwd[v]) > 1:
             moves = sorted(ordered.fwd[v])
@@ -150,20 +164,22 @@ def test_quotient_is_the_order_free_image_of_the_arena():
         assert [(image(t), w) for t, w in moves] == quotient.fwd[image(v)]
     assert images == set(range(quotient.n))
     assert image(ordered.v0) == quotient.v0
-    assert {image(v) for v in ordered.accepting} == set(quotient.accepting)
+    assert {image(v) for v in accepting & reached} == set(quotient.accepting)
+    assert quotient.accepting
+    assert all(quotient.fwd[v] == [] for v in quotient.accepting)
     for sfx in quotient.suffixes:
         assert list(sfx) == sorted(sfx)
 
 
 def test_quotient_cap_counts_contracted_env_vertices():
-    # the cap counts the uncontracted quotient, 34,482 vertices on the
-    # case study, so contracting pass-through env vertices leaves the set
-    # of models that raise ArenaTooLarge unchanged
+    # the cap counts the uncontracted quotient up to acceptance, 24,330
+    # vertices on the case study: every contracted env vertex counts, and
+    # an accepting vertex counts but its successors are never built
     m = grid_compile(fixtures.CASE_STUDY_GRID)
     a = to_dfa(parse(fixtures.CASE_STUDY_TASK), {"fire", "extinguisher"})
     with pytest.raises(ArenaTooLarge):
-        ar.build_arena(m, a, cap=34_481, quotient=True)
-    assert ar.build_arena(m, a, cap=34_482, quotient=True).n == 10_448
+        ar.build_arena(m, a, cap=24_329, quotient=True)
+    assert ar.build_arena(m, a, cap=24_330, quotient=True).n == 7_442
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +325,7 @@ def test_case_study_build_allocation_peak():
 
 
 def test_case_study_quotient_build_allocation_peak():
-    # 10,448 vertices; measured at 2.2 MB, and the bound keeps the
+    # 7,442 vertices; measured at 1.60 MB, and the bound keeps the
     # ordered build's ratio of bound to measured peak (100 MB over 34 MB)
     m = grid_compile(fixtures.CASE_STUDY_GRID)
     a = to_dfa(parse(fixtures.CASE_STUDY_TASK), {"fire", "extinguisher"})
@@ -319,5 +335,5 @@ def test_case_study_quotient_build_allocation_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert arena.n == 10_448
-    assert peak <= 7 * 2 ** 20, peak / 2 ** 20
+    assert arena.n == 7_442
+    assert peak <= 5 * 2 ** 20, peak / 2 ** 20

@@ -1,6 +1,7 @@
 """Regret, worst-case, and best-case synthesis on the T3 scenario."""
 
 import heapq
+import logging
 import math
 from collections import deque
 from random import Random
@@ -492,12 +493,24 @@ def test_best_response_matches_world_enumeration(dfa):
         cand = bench._candidate(Random(seed), params)
         if cand is not None:
             cases.append((cand, dfa))
+    # queried twice on fresh instances: most-observed first, a partly
+    # observed row is derived from its memoized completions; least-observed
+    # first, every row is searched
     assert len(cases) > 60
+    derived = 0
     for m, a in cases:
         arena = ar.build_arena(m, a)
-        br = sv.BestResponse(m, a)
-        for suffix in {arena.suffixes[arena.sfx[v]] for v in arena.accepting}:
-            assert br(suffix) == reference_best_response(m, a, suffix)
+        suffixes = {arena.suffixes[arena.sfx[v]] for v in arena.accepting}
+        expected = {s: reference_best_response(m, a, s) for s in suffixes}
+        for sign in (-1, 1):
+            br = sv.BestResponse(m, a)
+            for suffix in sorted(suffixes, key=lambda s: (sign * len(s), s)):
+                assert br(suffix) == expected[suffix]
+            assert br.searches + br.derived == len(br.memo)
+            if sign == 1:
+                assert br.derived == 0
+            derived += br.derived
+    assert derived > 0
 
 
 def test_best_response_memo_ignores_exploration_order():
@@ -507,6 +520,33 @@ def test_best_response_memo_ignores_exploration_order():
     br = sv.BestResponse(m, a)
     assert br(suffix) == br(suffix[::-1]) == reference_best_response(m, a, suffix)
     assert len(br.memo) == 1
+
+
+def test_case_study_regret_searches_only_complete_rows(monkeypatch):
+    # the 81 seeded rows are evaluated most-observed first, so only the 16
+    # rows that observe all 4 unknown states are searched
+    sources = []
+
+    def counting(adj, source):
+        sources.append(source)
+        return md.dijkstra(adj, source)
+
+    monkeypatch.setattr(sv, "dijkstra", counting)
+    m, a = case_study()
+    assert sv.solve_regret(m, a)[1] == 4
+    assert len(sources) == 16
+    assert all(-1 not in row for _, _, row in sources)
+
+
+def test_regret_debug_line_reports_best_response_paths(caplog):
+    m, a = case_study()
+    with caplog.at_level(logging.DEBUG, logger="regretplan.solver"):
+        sv.solve_regret(m, a)
+        sv.solve_worst_case(m, a)
+    regret, worst = (r.getMessage() for r in caplog.records)
+    assert regret.startswith("regret game: 7442 vertices, 18091 edges")
+    assert regret.endswith(", 16 best-response searches, 65 derived")
+    assert "best-response" not in worst
 
 
 def slots(arena, v):
