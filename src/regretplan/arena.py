@@ -16,13 +16,15 @@ different orders meet.  The quotient also contracts every env vertex
 with a single successor: a move into a known or already explored state
 is one agent->agent edge carrying the movement weight, and only a move
 that reveals an unexplored state keeps an env vertex.  And it ends at
-acceptance: a play's payoff is fixed there, so an accepting vertex gets
-an empty row, and since accepting automaton states are absorbing, what
-is dropped is only agent and env vertices with accepting q.  The vertex
-cap counts each contracted env vertex and each accepting vertex, but no
-successor of an accepting one: it bounds the uncontracted arena in the
-ordered form, and the uncontracted arena up to acceptance in the
-quotient.  Vertices are numbered breadth-first and kept as parallel
+acceptance and at dead automaton states: a play's payoff is fixed at
+acceptance, and a play at a dead q (``Dfa.dead``) is lost in every world,
+so an accepting or dead agent vertex gets an empty row.  Accepting
+automaton states are absorbing and so are dead ones, so what is dropped
+is only agent and env vertices with accepting or dead q.  The vertex cap
+counts each contracted env vertex and each accepting or dead vertex, but
+no successor of one: it bounds the uncontracted arena in the ordered
+form, and in the quotient the uncontracted arena up to acceptance or a
+dead q.  Vertices are numbered breadth-first and kept as parallel
 integer columns.  During the build only agent vertices are looked up,
 by one integer key: an env vertex has a single predecessor and is
 created once.  Edges are compressed sparse rows in vertex order, so an
@@ -70,8 +72,9 @@ class _Rows:
 @dataclass(frozen=True, eq=False)
 class Arena:
     """Reachable game graph with movement weights on the edges entering
-    agent vertices; in the quotient, reachable up to acceptance, and an
-    accepting vertex's row is empty."""
+    agent vertices; in the quotient, reachable up to acceptance or a dead
+    automaton state, and the row of an accepting or dead vertex is
+    empty."""
 
     kind: bytearray          # id -> 0 on agent vertices, 1 on env vertices
     x: array                 # id -> physical state
@@ -132,9 +135,10 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
                 quotient: bool = False) -> Arena:
     """Breadth-first construction of everything reachable from the start;
     with ``quotient``, knowledge is interned by its observed-pattern row,
-    only moves that reveal a pattern keep an env vertex, and accepting
-    vertices have no moves.  ``cap`` bounds the uncontracted vertex count
-    (ArenaTooLarge)."""
+    only moves that reveal a pattern keep an env vertex, and accepting and
+    dead vertices have no moves.  ``cap`` bounds the uncontracted vertex
+    count, which in the quotient counts an accepting or dead vertex but
+    not its successors (ArenaTooLarge)."""
     lab = [a.letter_index(m.labels[x]) for x in range(m.n)]
     patterns = m.patterns
 
@@ -184,14 +188,16 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
             vid = agent_ids[key] = add(0, x, q, sid, -1)
         return vid
 
+    # acceptance and dead q end every play of the quotient
+    ends = a.accepting | a.dead if quotient else ()
     agent(m.initial, a.trans[a.initial][lab[m.initial]], 0)
     start, src, dst, wt = array("i", [0]), array("i"), array("i"), []
     u = 0
     while u < len(kind):  # vertices are appended in BFS order
         x, q, sid = xs[u], qs[u], sfxs[u]
         row = rows[sid]
-        if quotient and q in a.accepting:
-            pass  # acceptance ends every play: an accepting row stays empty
+        if q in ends:
+            pass  # the payoff is fixed: an accepting or dead row stays empty
         elif not kind[u]:
             for xhat in patterns[x][row[x]]:
                 if quotient and row[xhat] >= 0:

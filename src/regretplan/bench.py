@@ -52,7 +52,8 @@ class GenParams:
         if not (1 <= self.min_cost <= self.max_cost):
             raise ValueError("cost bounds must satisfy 1 <= min <= max")
         if not (0 <= self.n_possible <= self.n_states - 1):
-            raise ValueError("too many unknown states")
+            raise ValueError(f"too many unknown states: {self.n_possible}"
+                             f" for {self.n_states} states")
         if not (1 <= self.n_targets <= self.n_states - 1):
             raise ValueError("target count out of range")
 

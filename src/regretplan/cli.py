@@ -146,17 +146,18 @@ def _cmd_arena(args):
 
 
 def _cmd_bench(args):
+    states = tuple(int(s) for s in args.states.split(","))
+    # one generator template per state count, so every count is checked
+    # before any trial runs
+    params = [bn.GenParams(n_states=n, n_possible=args.possible,
+                           min_cost=args.min_cost, max_cost=args.max_cost)
+              for n in states]
     config = bn.BenchConfig(
-        states=tuple(int(s) for s in args.states.split(",")),
+        states=states,
         p_values=_parse_p_grid(args.p),
         trials=args.trials,
         seed=args.seed,
-        params=bn.GenParams(
-            n_states=15,
-            n_possible=args.possible,
-            min_cost=args.min_cost,
-            max_cost=args.max_cost,
-        ),
+        params=params[0],
     )
     csv_text = bn.rows_to_csv(bn.run_benchmark(config))
     if args.output:

@@ -15,7 +15,7 @@ accepting states are closed under all transitions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import (
@@ -362,7 +362,8 @@ class Dfa:
 
     Letters are frozensets of atom names; internally a letter is the
     bitmask index over the sorted atom tuple.  Accepting states are
-    absorbing, so acceptance is closed under word extension.
+    absorbing, so acceptance is closed under word extension.  Dead
+    states are the other end: no word leads from one to acceptance.
     """
 
     atoms: tuple
@@ -370,6 +371,24 @@ class Dfa:
     initial: int
     accepting: frozenset
     trans: tuple  # trans[q][letter_index] -> q'
+    # states from which no word reaches an accepting state: derived from
+    # trans once per automaton, and not part of equality or the JSON form
+    dead: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # one backward search from the accepting states.  Set here rather
+        # than cached on first use: a cached attribute materializes the
+        # instance __dict__, which slows every later attribute read
+        preds = [set() for _ in range(self.n)]
+        for q, row in enumerate(self.trans):
+            for t in row:
+                preds[t].add(q)
+        live, stack = set(self.accepting), list(self.accepting)
+        while stack:
+            for p in preds[stack.pop()] - live:
+                live.add(p)
+                stack.append(p)
+        object.__setattr__(self, "dead", frozenset(range(self.n)) - live)
 
     def letter_index(self, letter) -> int:
         idx = 0

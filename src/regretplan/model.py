@@ -271,7 +271,8 @@ def is_compatible(t: Wts, m: Pkwts) -> bool:
 @dataclass(frozen=True, eq=False)
 class Product:
     """Environment x automaton over (state, automaton state) vertices,
-    searched on the fly: ``get`` yields successors with movement weights."""
+    searched on the fly: ``get`` yields successors with movement weights,
+    and none from a dead automaton state, where no path is satisfying."""
 
     initial: tuple
     successors: tuple
@@ -281,6 +282,8 @@ class Product:
 
     def get(self, u, default=None):
         x, q = u
+        if q in self.dfa.dead:
+            return
         trans = self.dfa.trans[q]
         for y in self.successors[x]:
             yield (y, trans[self.lab[y]]), self.weights[(x, y)]

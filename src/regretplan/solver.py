@@ -28,12 +28,18 @@ Why this solves the regret game:
    deciding vertex: an env vertex whose only move goes back, which the
    quotient contracts to a self-edge.  A move that reveals a pattern
    leads to a new row and never returns.
-4. Ending the quotient at acceptance and deriving best responses are
-   exact.  A play stops at its first accepting vertex, and the game
-   solve pins accepting vertices and never relaxes them, so the moves of
-   an accepting vertex and every vertex reached only through them
-   change no value or choice of a vertex a play can meet before
-   acceptance; the quotient builds neither.  The worlds consistent with
+4. Ending the quotient at acceptance and at dead automaton states, and
+   deriving best responses, are exact.  A play stops at its first
+   accepting vertex, and the game solve pins accepting vertices and never
+   relaxes them, so the moves of an accepting vertex and every vertex
+   reached only through them change no value or choice of a vertex a
+   play can meet before acceptance; the quotient builds neither.  From a
+   dead q no word reaches acceptance and dead states are closed under
+   every letter, so a dead vertex is worth INF in both games, with or
+   without its moves, and has no edge into a live vertex: it is never a
+   cheapest move and never ties, and cutting its moves changes no value,
+   choice or tie-break of a live vertex.  The best-response search drops
+   dead vertices by the same argument.  The worlds consistent with
    a row are the union, over the patterns of any one unexplored state,
    of the worlds of the row that fixes it, so the row's best response is
    the least of theirs.  The regret solve evaluates its seeds from the
@@ -119,9 +125,10 @@ class BestResponse:
     its patterns and fixes the pick, so every search path lives in one
     world, and each world's cheapest satisfying path is a search path.
     Accepting vertices end a path, and the search stops at the first one
-    settled, the cheapest.  The value depends on which patterns were
-    observed, not in what order, so the memo is keyed by the order-free
-    ``row``.
+    settled, the cheapest.  A vertex with a dead automaton state has no
+    successors: no path from it is satisfying.  The value depends on
+    which patterns were observed, not in what order, so the memo is keyed
+    by the order-free ``row``.
 
     A row's completions split by the pattern of any one unexplored state
     j, so its value is the least value of the rows that fix j.  Before it
@@ -138,6 +145,7 @@ class BestResponse:
         unknown = m.unknown_states
         self.slot = {x: j for j, x in enumerate(unknown)}
         self.n_patterns = [len(m.patterns[x]) for x in unknown]
+        self.ends = a.accepting | a.dead
         self.memo = {}
         self.searches = 0
         self.derived = 0
@@ -168,7 +176,7 @@ class BestResponse:
     def get(self, u, default=None):
         """Search successors of ``u`` with their movement weights."""
         x, q, row = u
-        if q in self.a.accepting:
+        if q in self.ends:
             return
         family, j = self.m.patterns[x], self.slot.get(x)
         if j is not None and row[j] < 0:
@@ -340,7 +348,8 @@ class OnlinePolicy:
     real world and follows its cheapest satisfying path, replanning as
     observations arrive.  Refining pins each explored state to the pattern
     it showed, so a decision patches those rows of the skeleton's product,
-    built once, and runs one settle-order search on it."""
+    built once, and runs one settle-order search on it, which stops at
+    dead automaton states (``Product.get``)."""
 
     objective = "best"
     value = None

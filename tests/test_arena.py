@@ -12,6 +12,9 @@ from regretplan import model as md
 from regretplan.errors import ArenaTooLarge, NotAPlay
 from regretplan.formula import parse, to_dfa
 from regretplan.grid import grid_compile
+from regretplan.model import INF
+from test_solver import (multi_goal_model, reference_minmax, regret_terminal,
+                         zero)
 
 
 @pytest.fixture
@@ -117,16 +120,10 @@ def quotient_image(arena, v):
     return vt[:3] + (tuple(sorted(vt[3])),) + vt[4:]
 
 
-def test_quotient_is_the_order_free_image_of_the_arena():
-    # forgetting the exploration order and contracting every env vertex
-    # with one successor maps the ordered arena, walked up to acceptance,
-    # onto the quotient: an agent maps to an agent, a branching env vertex
-    # to an env vertex, and a single-successor env vertex to the edge from
-    # its agent to the image of its successor, with the same weight; an
-    # agent's moves keep their order, which decides the tie-break; an
-    # accepting vertex ends every play, so its image has an empty row
-    m = grid_compile(fixtures.CASE_STUDY_GRID)
-    a = to_dfa(parse("F fire"), {"fire", "extinguisher"})
+def order_free_image_dead_vertices(m, a):
+    """Map the ordered arena of (m, a), walked up to acceptance or a dead
+    automaton state, onto its quotient and check the image edge by edge;
+    return the reached ordered vertices with a dead q, and both arenas."""
     ordered = ar.build_arena(m, a)
     quotient = ar.build_arena(m, a, quotient=True)
     ids = {quotient.vertex(v): v for v in range(quotient.n)}
@@ -140,10 +137,11 @@ def test_quotient_is_the_order_free_image_of_the_arena():
         return succs[0] if len(succs) == 1 else (e, 0)
 
     accepting = set(ordered.accepting)
+    ends = accepting | {v for v in range(ordered.n) if ordered.q[v] in a.dead}
     reached, stack = {ordered.v0}, [ordered.v0]
     while stack:
         v = stack.pop()
-        if v not in accepting:
+        if v not in ends:
             for t, _ in ordered.fwd[v]:
                 if t not in reached:
                     reached.add(t)
@@ -152,7 +150,7 @@ def test_quotient_is_the_order_free_image_of_the_arena():
 
     images = set()
     for v in sorted(reached):
-        if v in accepting:
+        if v in ends:
             moves = []
         elif ordered.is_agent(v):
             moves = [move(e) for e, _ in ordered.fwd[v]]
@@ -165,21 +163,56 @@ def test_quotient_is_the_order_free_image_of_the_arena():
     assert images == set(range(quotient.n))
     assert image(ordered.v0) == quotient.v0
     assert {image(v) for v in accepting & reached} == set(quotient.accepting)
-    assert quotient.accepting
     assert all(quotient.fwd[v] == [] for v in quotient.accepting)
     for sfx in quotient.suffixes:
         assert list(sfx) == sorted(sfx)
+    return (ends - accepting) & reached, ordered, quotient
+
+
+def test_quotient_is_the_order_free_image_of_the_arena():
+    # forgetting the exploration order and contracting every env vertex
+    # with one successor maps the ordered arena, walked up to acceptance,
+    # onto the quotient: an agent maps to an agent, a branching env vertex
+    # to an env vertex, and a single-successor env vertex to the edge from
+    # its agent to the image of its successor, with the same weight; an
+    # agent's moves keep their order, which decides the tie-break; an
+    # accepting vertex ends every play, so its image has an empty row.
+    # F fire has no dead automaton state; under (!a U b), reaching a
+    # before b does, and a vertex there is lost in both games, so the
+    # quotient ends it with an empty row too
+    m = grid_compile(fixtures.CASE_STUDY_GRID)
+    a = to_dfa(parse("F fire"), {"fire", "extinguisher"})
+    assert not a.dead
+    dead, _, quotient = order_free_image_dead_vertices(m, a)
+    assert dead == set() and quotient.accepting
+
+    trap = to_dfa(parse("(!a U b)"), {"a", "b"})
+    assert trap.dead
+    checked = 0
+    for seed in range(50, 60):
+        m = multi_goal_model(seed)
+        if m is None:
+            continue
+        dead, ordered, quotient = order_free_image_dead_vertices(m, trap)
+        if not dead or not quotient.accepting:
+            continue
+        for terminal in (zero, regret_terminal(m, trap, ordered)):
+            values = reference_minmax(ordered, ordered.wt, terminal)[0]
+            assert all(values[v] == INF for v in dead)
+        checked += 1
+    assert checked >= 8
 
 
 def test_quotient_cap_counts_contracted_env_vertices():
-    # the cap counts the uncontracted quotient up to acceptance, 24,330
-    # vertices on the case study: every contracted env vertex counts, and
-    # an accepting vertex counts but its successors are never built
+    # the cap counts the uncontracted quotient up to acceptance or a dead
+    # automaton state, 14,133 vertices on the case study: every contracted
+    # env vertex counts, and an accepting or dead vertex counts but its
+    # successors are never built
     m = grid_compile(fixtures.CASE_STUDY_GRID)
     a = to_dfa(parse(fixtures.CASE_STUDY_TASK), {"fire", "extinguisher"})
     with pytest.raises(ArenaTooLarge):
-        ar.build_arena(m, a, cap=24_329, quotient=True)
-    assert ar.build_arena(m, a, cap=24_330, quotient=True).n == 7_442
+        ar.build_arena(m, a, cap=14_132, quotient=True)
+    assert ar.build_arena(m, a, cap=14_133, quotient=True).n == 4_391
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +358,8 @@ def test_case_study_build_allocation_peak():
 
 
 def test_case_study_quotient_build_allocation_peak():
-    # 7,442 vertices; measured at 1.60 MB, and the bound keeps the
-    # ordered build's ratio of bound to measured peak (100 MB over 34 MB)
+    # 4,391 vertices; measured at 0.93 MB (1.60 MB for the 7,442 built
+    # before dead automaton states were cut), under the same 5 MB bound
     m = grid_compile(fixtures.CASE_STUDY_GRID)
     a = to_dfa(parse(fixtures.CASE_STUDY_TASK), {"fire", "extinguisher"})
     tracemalloc.start()
@@ -335,5 +368,5 @@ def test_case_study_quotient_build_allocation_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert arena.n == 7_442
+    assert arena.n == 4_391
     assert peak <= 5 * 2 ** 20, peak / 2 ** 20

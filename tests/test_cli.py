@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from regretplan import fixtures
+from regretplan import bench, fixtures
 from regretplan import model as md
 from regretplan.cli import main
 
@@ -135,6 +135,24 @@ def test_bench_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == "states,p,trial_count,strategy,mean_cost,stderr,skips"
+
+
+def test_bench_checks_possible_against_every_state_count(monkeypatch, capsys):
+    # --possible is checked against each --states count before any trial,
+    # and the error names the count that fails
+    configs = []
+    monkeypatch.setattr(bench, "run_benchmark",
+                        lambda config: configs.append(config) or [])
+    assert main(["bench", "--states", "20,4", "--possible", "5"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "4 states" in err["message"]
+    assert configs == []
+    # a 20-state model holds 16 unknown states; no such model is solved
+    assert main(["bench", "--states", "20", "--possible", "16",
+                 "--trials", "1", "--p", "0.5"]) == 0
+    capsys.readouterr()
+    [config] = configs
+    assert config.states == (20,) and config.params.n_possible == 16
 
 
 def test_solve_deterministic_bytes(t3_file, tmp_path, capsys):

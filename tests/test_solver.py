@@ -544,7 +544,7 @@ def test_regret_debug_line_reports_best_response_paths(caplog):
         sv.solve_regret(m, a)
         sv.solve_worst_case(m, a)
     regret, worst = (r.getMessage() for r in caplog.records)
-    assert regret.startswith("regret game: 7442 vertices, 18091 edges")
+    assert regret.startswith("regret game: 4391 vertices, 10432 edges")
     assert regret.endswith(", 16 best-response searches, 65 derived")
     assert "best-response" not in worst
 
@@ -842,6 +842,37 @@ def test_regret_matches_oracle_on_multi_goal_tasks():
             reduction_off += shortest_play_regret(m, a)[0] != value
     assert checked >= 50
     assert reduction_off >= 1
+
+
+def test_dead_state_cut_keeps_every_decision():
+    # under these tasks a play can enter a dead automaton state (a before
+    # b, or b before a), which the quotient and the best-response search
+    # cut; value iteration on the full ordered arena must still agree with
+    # both solves in value and in every reachable decision
+    tasks = [to_dfa(parse(text), {"a", "b"})
+             for text in ("(!a U b)", "(!b U a) & F b")]
+    assert all(a.dead for a in tasks)
+    checked = unrealizable = 0
+    for seed in range(50, 70):
+        m = multi_goal_model(seed)
+        if m is None:
+            continue
+        for a in tasks:
+            arena = ar.build_arena(m, a)
+            for solve, terminal in ((sv.solve_regret,
+                                     regret_terminal(m, a, arena)),
+                                    (sv.solve_worst_case, zero)):
+                values, choices = reference_minmax(arena, arena.wt, terminal)
+                if values[arena.v0] == INF:
+                    with pytest.raises(UnrealizableTask):
+                        solve(m, a)
+                    unrealizable += 1
+                    continue
+                strategy, value = solve(m, a)
+                assert value == values[arena.v0], (seed, a)
+                assert strategy.decisions == vertex_decisions(arena, choices)
+                checked += 1
+    assert checked >= 60 and unrealizable >= 1, (checked, unrealizable)
 
 
 def test_unrealizable_iff_no_winning_strategy(dfa):
