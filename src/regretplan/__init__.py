@@ -1,7 +1,7 @@
 """Regret-minimizing exploration planning for co-safe temporal-logic tasks
 in partially-known environments."""
 
-from .arena import Arena, build_arena, play_cost, size_bound
+from .arena import Arena, build_arena, size_bound
 from .bench import BenchConfig, GenParams, generate, run_benchmark, sample_env
 from .errors import RegretPlanError
 from .execute import RunRecord, regret_of, run
@@ -26,6 +26,7 @@ from .oracle import brute_force_optimal_regret, check_regret_bound
 from .solver import (
     OnlinePolicy,
     PositionalStrategy,
+    QuotientGame,
     best_case_policy,
     solve_regret,
     solve_worst_case,
@@ -43,6 +44,7 @@ __all__ = [
     "Pkwts",
     "PositionalStrategy",
     "Product",
+    "QuotientGame",
     "RegretPlanError",
     "RunRecord",
     "Wts",
@@ -59,7 +61,6 @@ __all__ = [
     "model_from_json",
     "model_to_json",
     "parse",
-    "play_cost",
     "product",
     "progress",
     "regret_of",

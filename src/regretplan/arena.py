@@ -41,7 +41,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import ArenaTooLarge, NotAPlay
+from .errors import ArenaTooLarge
 from .formula import Dfa
 from .model import Pkwts, skeleton
 
@@ -118,13 +118,6 @@ class Arena:
             if self.vertex(v) == vt:
                 return v
         raise KeyError(vt)
-
-    def edge_slot(self, u: int, v: int):
-        """Slot of the edge (u, v), or None."""
-        for e in range(self.start[u], self.start[u + 1]):
-            if self.dst[e] == v:
-                return e
-        return None
 
     def edges(self):
         """(u, v, weight) in slot order."""
@@ -244,17 +237,6 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
         v0=0, accepting=accepting, start=start, src=src, dst=dst, wt=wt,
         rev_start=rev_start, rev_edge=rev_edge,
     )
-
-
-def play_cost(arena: Arena, play) -> int:
-    """Total movement weight along a play; every hop must be an edge."""
-    total = 0
-    for u, v in zip(play, play[1:]):
-        e = arena.edge_slot(u, v)
-        if e is None:
-            raise NotAPlay(f"({u},{v}) is not an arena edge")
-        total += arena.wt[e]
-    return total
 
 
 def size_bound(m: Pkwts, a: Dfa) -> int:

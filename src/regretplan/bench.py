@@ -18,7 +18,12 @@ from .errors import GenerationFailed, StuckNoPath
 from .execute import run
 from .formula import parse, to_dfa
 from .model import Pkwts, Wts
-from .solver import best_case_policy, solve_regret, solve_worst_case
+from .solver import (
+    QuotientGame,
+    best_case_policy,
+    solve_regret,
+    solve_worst_case,
+)
 
 TARGET_TASK = "F target"
 
@@ -193,7 +198,8 @@ def _mix(*parts) -> int:
 
 def run_benchmark(config: BenchConfig):
     """Mean realized cost per (state count, obstacle probability,
-    strategy) over fresh (model, environment) pairs."""
+    strategy) over fresh (model, environment) pairs.  Each trial solves
+    both objectives on one quotient game, built by the regret solve."""
     rows = []
     for si, n_states in enumerate(config.states):
         for pi, p in enumerate(config.p_values):
@@ -211,8 +217,9 @@ def run_benchmark(config: BenchConfig):
                         skips[name] += 1
                     continue
                 env = sample_env(m, p, env_seed)
-                regret_strategy, _ = solve_regret(m, _TARGET_DFA)
-                worst_strategy, _ = solve_worst_case(m, _TARGET_DFA)
+                game = QuotientGame(m, _TARGET_DFA)
+                regret_strategy, _ = solve_regret(m, _TARGET_DFA, game)
+                worst_strategy, _ = solve_worst_case(m, _TARGET_DFA, game)
                 runners = {
                     "regret": regret_strategy,
                     "worst": worst_strategy,

@@ -52,10 +52,6 @@ class ArenaTooLarge(RegretPlanError):
     """Game arena grew past the configured vertex cap."""
 
 
-class NotAPlay(RegretPlanError):
-    """Vertex sequence contains a pair that is not an arena edge."""
-
-
 class UnrealizableTask(RegretPlanError):
     """No strategy can guarantee the task in every compatible environment."""
 

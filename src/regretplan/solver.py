@@ -5,7 +5,9 @@ the arena, solve one Dijkstra-order min-max game over the movement
 weights, then walk the ordered plays the solved choices allow.  The
 objectives differ only in the value of an accepting vertex: 0 for the
 worst case, and minus the best response of its observed-pattern row for
-regret.  The best case plans on the refined skeleton.
+regret.  So one ``QuotientGame`` per model builds the quotient once, in
+whichever solve comes first, and serves both objectives.  The best case
+plans on the refined skeleton.
 
 Why this solves the regret game:
 
@@ -307,27 +309,59 @@ def _reachable_decisions(arena: Arena, choices: dict) -> dict:
 # ---------------------------------------------------------------------------
 # the three synthesis entry points
 
-def solve_regret(m: Pkwts, a: Dfa):
-    """Regret-minimizing strategy and its regret value."""
-    arena = build_arena(m, a, quotient=True)
-    br = BestResponse(m, a)
+class QuotientGame:
+    """One model's quotient game, solvable for either objective.  The
+    arena is built by the first solve and shared by the next, and only
+    the regret solve evaluates best responses."""
 
-    def suffix(v):
-        return arena.suffixes[arena.sfx[v]]
-    # most-observed rows first, so that a partly observed row finds the
-    # rows of its completions memoized; ties keep vertex order
-    order = sorted(arena.accepting, key=lambda v: -len(suffix(v)))
-    seeds = {v: -br(suffix(v)) for v in order}
-    result = solve_minmax(arena, seeds.__getitem__)
-    return _positional("regret", arena, result,
-                       f", {br.searches} best-response searches,"
-                       f" {br.derived} derived")
+    def __init__(self, m: Pkwts, a: Dfa):
+        self.m = m
+        self.a = a
+        self._arena = None
+
+    @property
+    def arena(self) -> Arena:
+        if self._arena is None:
+            self._arena = build_arena(self.m, self.a, quotient=True)
+        return self._arena
+
+    def regret(self):
+        arena = self.arena
+        br = BestResponse(self.m, self.a)
+
+        def suffix(v):
+            return arena.suffixes[arena.sfx[v]]
+        # most-observed rows first, so that a partly observed row finds the
+        # rows of its completions memoized; ties keep vertex order
+        order = sorted(arena.accepting, key=lambda v: -len(suffix(v)))
+        seeds = {v: -br(suffix(v)) for v in order}
+        result = solve_minmax(arena, seeds.__getitem__)
+        return _positional("regret", arena, result,
+                           f", {br.searches} best-response searches,"
+                           f" {br.derived} derived")
+
+    def worst_case(self):
+        arena = self.arena
+        return _positional("worst", arena, solve_minmax(arena, lambda v: 0))
 
 
-def solve_worst_case(m: Pkwts, a: Dfa):
+def _game(m: Pkwts, a: Dfa, game) -> QuotientGame:
+    if game is None:
+        return QuotientGame(m, a)
+    if (game.m, game.a) != (m, a):
+        raise ValueError("the game was built for another model or automaton")
+    return game
+
+
+def solve_regret(m: Pkwts, a: Dfa, game: QuotientGame | None = None):
+    """Regret-minimizing strategy and its regret value; pass the same
+    ``game`` to both objectives to build the quotient once."""
+    return _game(m, a, game).regret()
+
+
+def solve_worst_case(m: Pkwts, a: Dfa, game: QuotientGame | None = None):
     """Strategy minimizing the worst-case total cost, and that cost."""
-    arena = build_arena(m, a, quotient=True)
-    return _positional("worst", arena, solve_minmax(arena, lambda v: 0))
+    return _game(m, a, game).worst_case()
 
 
 def _positional(objective: str, arena: Arena, result: MinMaxResult,

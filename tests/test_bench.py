@@ -71,9 +71,9 @@ def test_generate_paper_defaults_realizable():
             sv.solve_worst_case(c, DFA)  # must not raise
 
 
-def test_run_benchmark_builds_two_arenas_per_trial(monkeypatch):
-    # one arena for the regret solve and one for the worst-case solve;
-    # generating the model builds none
+def test_run_benchmark_builds_one_arena_per_trial(monkeypatch):
+    # both objectives share one quotient game per trial; generating the
+    # model builds none
     builds, models = [], []
     build_arena, generate = sv.build_arena, bench.generate
 
@@ -90,7 +90,7 @@ def test_run_benchmark_builds_two_arenas_per_trial(monkeypatch):
     config = bench.BenchConfig(states=(8,), p_values=(0.5,), trials=6, seed=3)
     bench.run_benchmark(config)
     assert len(models) == 6
-    assert len(builds) == 2 * len(models)
+    assert len(builds) == len(models)
 
 
 def test_generate_connected_skeleton():

@@ -15,6 +15,7 @@ from regretplan.errors import (
 )
 from regretplan.execute import regret_of, run
 from regretplan.formula import parse, to_dfa
+from test_arena import play_cost
 
 INF = math.inf
 
@@ -117,7 +118,7 @@ def test_run_cost_matches_arena_play_cost(t3, dfa, regret_strategy, worst_strate
         for env in md.compatible_envs(t3):
             rec = run(strategy, t3, dfa, env)
             play = simulate_play(arena, strategy, env)
-            assert ar.play_cost(arena, play) == rec.cost
+            assert play_cost(arena, play) == rec.cost
             assert [arena.vertex(v)[1] for v in play if arena.is_agent(v)] \
                 == list(rec.path)
 

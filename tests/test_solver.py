@@ -1,6 +1,7 @@
 """Regret, worst-case, and best-case synthesis on the T3 scenario."""
 
 import heapq
+import json
 import logging
 import math
 from collections import deque
@@ -117,8 +118,8 @@ def test_esp_contains_both_routes(t3_arena):
     v0 = t3_arena.v0
     commit_s1 = t3_arena.id_of((ar.ENV, 0, 0, (), 1))
     commit_s2 = t3_arena.id_of((ar.ENV, 0, 0, (), 2))
-    assert t3_arena.edge_slot(v0, commit_s1) in edges
-    assert t3_arena.edge_slot(v0, commit_s2) in edges
+    assert edge_slot(t3_arena, v0, commit_s1) in edges
+    assert edge_slot(t3_arena, v0, commit_s2) in edges
 
 
 def test_esp_excludes_strictly_longer_detour(t3_arena):
@@ -127,7 +128,7 @@ def test_esp_excludes_strictly_longer_detour(t3_arena):
     # on a cheapest play to any final vertex
     env_retry = t3_arena.id_of((ar.ENV, 0, 0, SFX_NO, 1))
     agent_retry = t3_arena.id_of((ar.AGENT, 1, 0, SFX_NO))
-    retry = t3_arena.edge_slot(env_retry, agent_retry)
+    retry = edge_slot(t3_arena, env_retry, agent_retry)
     assert retry is not None
     assert retry not in edges
 
@@ -144,7 +145,7 @@ def test_esp_linear_chain_all_edges(dfa):
         arena.id_of((ar.AGENT, 2, 1, ())),
     ]
     for u, v in zip(chain, chain[1:]):
-        assert arena.edge_slot(u, v) in edges
+        assert edge_slot(arena, u, v) in edges
 
 
 def test_esp_unrealizable_raises():
@@ -292,6 +293,68 @@ def test_solve_worst_case_t3(t3, dfa):
 def test_solve_worst_case_unrealizable(dfa):
     with pytest.raises(UnrealizableTask):
         sv.solve_worst_case(trap_model(), dfa)
+
+
+def outcome(solve, m, a, game=None):
+    """(value, strategy JSON text), or None when no strategy wins."""
+    try:
+        strategy, value = solve(m, a, game)
+    except UnrealizableTask:
+        return None
+    return value, json.dumps(strategy.to_json())
+
+
+def test_shared_game_matches_separate_solves(t3, dfa):
+    # one game serves both objectives, in either order, with the values
+    # and strategy JSON of two separate two-argument solves
+    cases = [(t3, dfa), case_study(), (trap_model(), dfa)]
+    for seed in range(100):
+        params = bench.GenParams(n_states=8 + seed % 5,
+                                 n_possible=2 + seed % 3, seed=seed)
+        cases.append((bench.generate(params), dfa))
+    until = to_dfa(parse("(!a U b)"), {"a", "b"})
+    cases += [(m, until) for m in map(multi_goal_model, range(50, 80))
+              if m is not None]
+    solvers = (sv.solve_regret, sv.solve_worst_case)
+    unrealizable = 0
+    for m, a in cases:
+        expected = [outcome(solve, m, a) for solve in solvers]
+        unrealizable += expected == [None, None]
+        for order in (solvers, solvers[::-1]):
+            game = sv.QuotientGame(m, a)
+            shared = {solve: outcome(solve, m, a, game) for solve in order}
+            assert [shared[solve] for solve in solvers] == expected
+    assert unrealizable >= 1
+    with pytest.raises(ValueError):
+        sv.solve_regret(t3, dfa, sv.QuotientGame(trap_model(), dfa))
+
+
+def test_shared_game_builds_once_in_the_first_solve(t3, dfa, monkeypatch):
+    # the build is charged to whichever solve comes first, and only the
+    # regret solve constructs a best response
+    builds, responses = [], []
+    build_arena, best_response = sv.build_arena, sv.BestResponse
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build_arena(*args, **kwargs)
+
+    def counting_best_response(*args):
+        responses.append(args)
+        return best_response(*args)
+
+    monkeypatch.setattr(sv, "build_arena", counting_build)
+    monkeypatch.setattr(sv, "BestResponse", counting_best_response)
+    game = sv.QuotientGame(t3, dfa)
+    assert (len(builds), len(responses)) == (0, 0)
+    sv.solve_worst_case(t3, dfa, game)
+    assert (len(builds), len(responses)) == (1, 0)
+    builds.clear()
+    game = sv.QuotientGame(t3, dfa)
+    sv.solve_regret(t3, dfa, game)
+    assert (len(builds), len(responses)) == (1, 1)
+    sv.solve_worst_case(t3, dfa, game)
+    assert (len(builds), len(responses)) == (1, 1)
 
 
 def test_best_case_policy_runs(t3, dfa):
@@ -551,6 +614,11 @@ def test_regret_debug_line_reports_best_response_paths(caplog):
 
 def slots(arena, v):
     return range(arena.start[v], arena.start[v + 1])
+
+
+def edge_slot(arena, u, v):
+    """Slot of the edge (u, v), or None."""
+    return next((e for e in slots(arena, u) if arena.dst[e] == v), None)
 
 
 def backward_values(arena, weights, terminal):
