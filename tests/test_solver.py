@@ -1,5 +1,6 @@
 """Regret, worst-case, and best-case synthesis on the T3 scenario."""
 
+import hashlib
 import heapq
 import json
 import logging
@@ -327,6 +328,41 @@ def test_shared_game_matches_separate_solves(t3, dfa):
     assert unrealizable >= 1
     with pytest.raises(ValueError):
         sv.solve_regret(t3, dfa, sv.QuotientGame(trap_model(), dfa))
+
+
+def test_strategy_json_golden_digest_on_generated_models(dfa):
+    # the strategy JSON of both objectives is part of the contract, byte
+    # for byte, on 240 generated models with 2-4 unknown states and on the
+    # multi-goal models under every multi-goal task, unrealizable ones
+    # included
+    cases = [(bench.generate(bench.GenParams(n_states=8 + seed % 8,
+                                             n_possible=2 + seed % 3,
+                                             seed=seed)), dfa)
+             for seed in range(240)]
+    tasks = [to_dfa(parse(text), {"a", "b"}) for text in MULTI_GOAL_TASKS]
+    cases += [(m, a) for m in map(multi_goal_model, range(50, 80))
+              if m is not None for a in tasks]
+    digest = hashlib.sha256()
+    for m, a in cases:
+        game = sv.QuotientGame(m, a)
+        for solve in (sv.solve_regret, sv.solve_worst_case):
+            try:
+                strategy, _ = solve(m, a, game)
+                text = json.dumps(strategy.to_json(), sort_keys=True)
+            except UnrealizableTask:
+                text = "unrealizable"
+            digest.update(text.encode() + b"\n")
+    assert len(cases) > 300
+    assert digest.hexdigest() == \
+        "191675059d6282a3b80934d566e42693cb0e979509a7e66faf231b7048eb4d10"
+
+
+def test_shared_game_unrealizable_for_both_objectives(dfa):
+    m = trap_model()
+    game = sv.QuotientGame(m, dfa)
+    for solve in (sv.solve_regret, sv.solve_worst_case):
+        with pytest.raises(UnrealizableTask):
+            solve(m, dfa, game)
 
 
 def test_shared_game_builds_once_in_the_first_solve(t3, dfa, monkeypatch):
