@@ -111,14 +111,6 @@ class Arena:
             return (ENV, self.x[v], self.q[v], sfx, self.xhat[v])
         return (AGENT, self.x[v], self.q[v], sfx)
 
-    def id_of(self, vt) -> int:
-        """Id of a vertex tuple; KeyError if absent.  A linear scan, for
-        tests and tools."""
-        for v in range(self.n):
-            if self.vertex(v) == vt:
-                return v
-        raise KeyError(vt)
-
     def edges(self):
         """(u, v, weight) in slot order."""
         return zip(self.src, self.dst, self.wt)

@@ -200,22 +200,6 @@ def update(k: KnowledgeSet, kn) -> KnowledgeSet:
     return KnowledgeSet(k.base, k.suffix + ((x, o),))
 
 
-def check_history(m: Pkwts, history) -> bool:
-    """Validate a knowledge sequence: moves follow observations, repeated
-    states repeat their observation, observations come from the model."""
-    seen = {}
-    for i, (x, o) in enumerate(history):
-        o = tuple(o)
-        if tuple(sorted(o)) not in {tuple(sorted(p)) for p in m.patterns[x]}:
-            return False
-        if x in seen and seen[x] != o:
-            return False
-        seen[x] = o
-        if i + 1 < len(history) and history[i + 1][0] not in o:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # skeleton / compatible environments
 
@@ -406,10 +390,6 @@ def model_from_json(data: dict) -> Pkwts:
         labels=labels,
         coins=tuple(tuple(c) for c in data.get("coins", ())),
     )
-
-
-def wts_to_json(t: Wts) -> dict:
-    return model_to_json(t.to_pkwts())
 
 
 def wts_from_json(data: dict) -> Wts:

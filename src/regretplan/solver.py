@@ -2,7 +2,8 @@
 
 Regret and worst case share one path: build the order-free quotient of
 the arena, solve one Dijkstra-order min-max game over the movement
-weights, then walk the ordered plays the solved choices allow.  The
+weights up to the root's value, then walk the ordered plays the solved
+values allow, picking each agent's move where the walk meets it.  The
 objectives differ only in the value of an accepting vertex: 0 for the
 worst case, and minus the best response of its observed-pattern row for
 regret.  So one ``QuotientGame`` per model builds the quotient once, in
@@ -47,6 +48,15 @@ Why this solves the regret game:
    the least of theirs.  The regret solve evaluates its seeds from the
    most-observed row down, so most partly observed rows find those rows
    memoized and need no search.
+5. Stopping the solve past the root's value is exact.  An agent's move
+   pays a nonnegative weight and an env vertex takes the largest of its
+   successors, so no vertex on a play of the root's strategy is valued
+   above the root.  Dijkstra order settles every vertex valued at most
+   the root's value before the first pop above it, exactly.  When the
+   solve stops, the heap minimum is above the root's value, so an
+   unsettled agent vertex holds an offer above it and an unsettled env
+   vertex is still INF: no move into an unsettled vertex ties with the
+   value of a vertex the walk meets.  An INF root never stops the solve.
 
 The paper's shortest-play reduction (charge cost minus best response on
 edges entering an accepting vertex, forbid edges on no cheapest play) is
@@ -197,32 +207,32 @@ class BestResponse:
 # vertex pinned to its terminal value)
 
 class MinMaxResult(NamedTuple):
-    values: list
-    choices: dict   # agent vertex id -> successor id, or None for stop
-    sweeps: int     # vertices settled, i.e. vertices with a finite value
+    values: list    # exact wherever <= values[v0], above values[v0] elsewhere
+    sweeps: int     # vertices settled, i.e. vertices valued <= values[v0]
 
 
 def solve_minmax(arena: Arena, terminal) -> MinMaxResult:
     """Min-cost reachability game over the movement weights, with each
     accepting vertex worth ``terminal(v)``, solved in Dijkstra order
-    (Khachiyan et al., ToCS 2008; Brihaye et al., Acta Informatica 2017).
+    (Khachiyan et al., ToCS 2008; Brihaye et al., Acta Informatica 2017)
+    up to the root's value (Liu & Smolka, ICALP 1998).
 
     Vertices settle in nondecreasing value from the accepting ones.  An
     agent vertex settles at its first pop, which is its cheapest move; an
     env vertex is pushed once its last successor has settled, at the
     largest ``value + weight``.  A play stops at its first accepting
     vertex, so accepting vertices keep their terminal value and are never
-    relaxed.  A successor that never settles leaves a vertex at INF.  Each
-    vertex settles at most once, so ``sweeps`` counts the vertices with a
-    finite value.  An agent chooses its first move in row order that
-    attains its value, never a self-edge: in the quotient, that is a goal
-    self-loop's move, which makes no progress.  (The ordered arena routes
-    that move through an env vertex, which is not skipped.)
+    relaxed.  The solve stops at the first pop above the root's value,
+    once the root has settled, so ``values[v]`` is exact wherever it is
+    at most ``values[v0]`` and greater than ``values[v0]`` everywhere
+    else; an INF root never stops it, and a successor that never settles
+    leaves a vertex at INF.  Each vertex settles at most once, so
+    ``sweeps`` counts the vertices valued at most ``values[v0]``.
     """
     n = arena.n
-    kind, start, dst, src, wt = (
-        arena.kind, arena.start, arena.dst, arena.src, arena.wt)
+    kind, start, src, wt = arena.kind, arena.start, arena.src, arena.wt
     rev_start, rev_edge = arena.rev_start, arena.rev_edge
+    v0 = arena.v0
     values = [INF] * n  # final once settled; an agent's best offer before
     final = bytearray(n)
     heap = []
@@ -235,13 +245,18 @@ def solve_minmax(arena: Arena, terminal) -> MinMaxResult:
     worst = [-INF] * n  # env: max of value + weight over settled successors
     settled = bytearray(n)
     sweeps = 0
+    bound = INF  # the root's value once it has settled
     while heap:
         d, v = heapq.heappop(heap)
+        if d > bound:
+            break
         if settled[v]:
             continue
         settled[v] = 1
         values[v] = d
         sweeps += 1
+        if v == v0:
+            bound = d
         for e in rev_edge[rev_start[v]:rev_start[v + 1]]:
             u = src[e]
             if settled[u] or final[u]:
@@ -257,41 +272,42 @@ def solve_minmax(arena: Arena, terminal) -> MinMaxResult:
                 unsettled_succs[u] -= 1
                 if unsettled_succs[u] == 0:
                     heapq.heappush(heap, (worst[u], u))
-
-    choices = {}
-    for v in range(n):
-        if kind[v]:
-            continue
-        if final[v]:
-            choices[v] = None
-        elif values[v] < INF:
-            best = None
-            for e in range(start[v], start[v + 1]):
-                t = dst[e]
-                if t == v:  # a self-edge (goal self-loops) makes no progress
-                    continue
-                if values[t] + wt[e] == values[v]:
-                    best = t
-                    break  # moves ascend by committed successor: first hit wins
-            if best is None:
-                raise SolverInvariantError(f"no witness successor at vertex {v}")
-            choices[v] = best
-    return MinMaxResult(values=values, choices=choices, sweeps=sweeps)
+    return MinMaxResult(values=values, sweeps=sweeps)
 
 
-def _reachable_decisions(arena: Arena, choices: dict) -> dict:
-    """Walk the plays the choices allow, carrying each play's ordered
-    knowledge suffix, and key every decision met by (state, automaton
-    state, suffix)."""
+def _best_move(arena: Arena, values: list, v: int) -> int:
+    """The move of a solved agent vertex ``v`` that is not accepting: its
+    first move in row order that attains its value, never a self-edge.
+    In the quotient a self-edge is a goal self-loop's move, which makes no
+    progress; the ordered arena routes that move through an env vertex,
+    which is not skipped.  Exact for every ``v`` valued at most the
+    root's value: a move into an unsettled vertex costs more than that."""
+    start, dst, wt = arena.start, arena.dst, arena.wt
+    for e in range(start[v], start[v + 1]):
+        t = dst[e]
+        if t != v and values[t] + wt[e] == values[v]:
+            return t  # moves ascend by committed successor: first hit wins
+    raise SolverInvariantError(f"no witness successor at vertex {v}")
+
+
+def _reachable_decisions(arena: Arena, values: list) -> dict:
+    """Walk the plays the solved values allow from the root, carrying each
+    play's ordered knowledge suffix, and key every decision met by (state,
+    automaton state, suffix).  An agent vertex stops if accepting and
+    otherwise takes its ``_best_move``, picked where the walk meets it.
+    Every vertex a play meets is valued at most the root's value: an
+    agent's move pays a nonnegative weight and an env vertex takes the
+    largest of its successors."""
     kind, start, dst, sfx, x, xhat = (
         arena.kind, arena.start, arena.dst, arena.sfx, arena.x, arena.xhat)
+    accepting = set(arena.accepting)
     decisions = {}
     seen = {(arena.v0, ())}
     stack = [(arena.v0, ())]
     while stack:
         v, suffix = stack.pop()
         if not kind[v]:
-            go = choices[v]
+            go = None if v in accepting else _best_move(arena, values, v)
             decisions[(x[v], arena.q[v], suffix)] = (
                 None if go is None else xhat[go] if kind[go] else x[go])
             nxt = () if go is None else ((go, suffix),)
@@ -373,7 +389,7 @@ def _positional(objective: str, arena: Arena, result: MinMaxResult,
     value = result.values[arena.v0]
     if value == INF:
         raise UnrealizableTask("no strategy wins in every compatible environment")
-    decisions = _reachable_decisions(arena, result.choices)
+    decisions = _reachable_decisions(arena, result.values)
     return PositionalStrategy(objective, value, decisions), value
 
 

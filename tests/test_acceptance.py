@@ -20,6 +20,7 @@ from regretplan.cli import main
 from regretplan.errors import SearchSpaceTooLarge
 from regretplan.execute import regret_of, run
 from regretplan.formula import parse, to_dfa
+from test_solver import id_of
 
 INF = math.inf
 
@@ -133,11 +134,9 @@ def test_criterion_4_property_suite(instance_suite):
         for env in md.compatible_envs(m):
             rec = run(strategy, m, TARGET_DFA, env)
             assert rec.satisfied, (idx, "strategy not winning")
-            final = arena.id_of(
-                ("a", rec.path[-1],
-                 _dfa_state_after(m, rec.path),
-                 rec.knowledge_final.suffix)
-            )
+            final = id_of(arena, ("a", rec.path[-1],
+                                  _dfa_state_after(m, rec.path),
+                                  rec.knowledge_final.suffix))
             assert rec.cost == dist[final], (idx, "play is not a cheapest play")
 
         if m.fully_known:
@@ -235,7 +234,8 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
     model_file = tmp_path / "t3.json"
     model_file.write_text(json.dumps(md.model_to_json(fixtures.t3())))
     env_file = tmp_path / "env.json"
-    env_file.write_text(json.dumps(md.wts_to_json(fixtures.t3_env_no())))
+    env = fixtures.t3_env_no().to_pkwts()
+    env_file.write_text(json.dumps(md.model_to_json(env)))
     map_file = tmp_path / "fig1.grid"
     map_file.write_text(fixtures.FIG1_GRID)
 

@@ -13,8 +13,8 @@ from regretplan.errors import ArenaTooLarge
 from regretplan.formula import parse, to_dfa
 from regretplan.grid import grid_compile
 from regretplan.model import INF
-from test_solver import (edge_slot, multi_goal_model, reference_minmax,
-                         regret_terminal, zero)
+from test_solver import (edge_slot, id_of, multi_goal_model,
+                         reference_minmax, regret_terminal, zero)
 
 
 @pytest.fixture
@@ -34,7 +34,7 @@ def t3_arena(t3, dfa):
 
 def vertex(arena, kind, x, q, sfx, xhat=None):
     vt = (kind, x, q, sfx) if xhat is None else (kind, x, q, sfx, xhat)
-    return arena.id_of(vt)
+    return id_of(arena, vt)
 
 
 def test_initial_vertex(t3_arena):
@@ -320,11 +320,11 @@ def test_arena_json_shape(t3_arena):
 # compact storage
 
 def test_id_of_is_strict(t3_arena):
-    assert t3_arena.id_of(t3_arena.vertex(7)) == 7
+    assert id_of(t3_arena, t3_arena.vertex(7)) == 7
     with pytest.raises(KeyError):
-        t3_arena.id_of((ar.AGENT, 0, 0, ((1, (2,)),)))
+        id_of(t3_arena, (ar.AGENT, 0, 0, ((1, (2,)),)))
     with pytest.raises(KeyError):
-        t3_arena.id_of((ar.ENV, 0, 0, (), 3))
+        id_of(t3_arena, (ar.ENV, 0, 0, (), 3))
 
 
 def test_reverse_index_lists_incoming_edges_by_source(t3_arena):

@@ -21,8 +21,8 @@ def t3_file(tmp_path):
 def env_files(tmp_path):
     yes = tmp_path / "env_yes.json"
     no = tmp_path / "env_no.json"
-    yes.write_text(json.dumps(md.wts_to_json(fixtures.t3_env_yes())))
-    no.write_text(json.dumps(md.wts_to_json(fixtures.t3_env_no())))
+    for path, env in ((yes, fixtures.t3_env_yes()), (no, fixtures.t3_env_no())):
+        path.write_text(json.dumps(md.model_to_json(env.to_pkwts())))
     return str(yes), str(no)
 
 

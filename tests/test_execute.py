@@ -16,6 +16,8 @@ from regretplan.errors import (
 from regretplan.execute import regret_of, run
 from regretplan.formula import parse, to_dfa
 from test_arena import play_cost
+from test_model import check_history
+from test_solver import id_of
 
 INF = math.inf
 
@@ -61,7 +63,7 @@ def test_run_records_history(t3, dfa, regret_strategy):
     rec = run(regret_strategy, t3, dfa, fixtures.t3_env_no())
     assert rec.history == (
         (0, (1, 2)), (1, (0,)), (0, (1, 2)), (2, (3,)), (3, (3,)))
-    assert md.check_history(t3, rec.history)
+    assert check_history(t3, rec.history)
 
 
 def test_run_rejects_incompatible_env(t3, dfa, regret_strategy):
@@ -132,7 +134,7 @@ def simulate_play(arena, strategy, env):
             go = strategy.decide(vt[1], vt[2], vt[3])
             if go is None:
                 return play
-            v = arena.id_of((ar.ENV, vt[1], vt[2], vt[3], go))
+            v = id_of(arena, (ar.ENV, vt[1], vt[2], vt[3], go))
         else:
             xhat = vt[4]
             succs = [t for t, _ in arena.fwd[v]]

