@@ -397,9 +397,15 @@ class OnlinePolicy:
     """Optimistic replanner: always treats the refined skeleton as the
     real world and follows its cheapest satisfying path, replanning as
     observations arrive.  Refining pins each explored state to the pattern
-    it showed, so a decision patches those rows of the skeleton's product,
+    it showed, so a search patches those rows of the skeleton's product,
     built once, and runs one settle-order search on it, which stops at
-    dead automaton states (``Product.get``)."""
+    dead automaton states (``Product.get``).
+
+    Each search's path is kept as the plan for its knowledge, so a policy
+    searches once per new observation, across all the runs it serves.
+    Exact: from v on the path from s, dist_s = w(s..v) + dist_v keeps the
+    least (cost, target), and each predecessor chosen from s is reached from
+    v on tight edges, so the search from v returns the rest of the path."""
 
     objective = "best"
     value = None
@@ -407,19 +413,27 @@ class OnlinePolicy:
     def __init__(self, m: Pkwts, a: Dfa):
         self.a = a
         self.prod = product(skeleton(m), a)
+        self.plan = {}
+        self.searches = 0
 
     def decide(self, x: int, q: int, suffix):
         if q in self.a.accepting:
             return None
+        key = (x, q, suffix)
+        if key in self.plan:
+            return self.plan[key]
         successors = list(self.prod.successors)
         for y, o in suffix:
             successors[y] = o
         prod = replace(self.prod, successors=successors)
+        self.searches += 1
         cost, path = shortest_path_to(prod, (x, q), prod.accepting)
         if path is None:
             raise StuckNoPath(
                 f"no satisfying path from state {x} under current knowledge")
-        return path[1][0]
+        for (u, qu), (v, _) in zip(path, path[1:]):
+            self.plan[u, qu, suffix] = v
+        return self.plan[key]
 
 
 def best_case_policy(m: Pkwts, a: Dfa) -> OnlinePolicy:

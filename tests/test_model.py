@@ -333,6 +333,32 @@ def test_shortest_path_matches_exhaustive_reference():
     assert long_paths > 100 and target_ties > 100
 
 
+def test_shortest_path_from_a_path_vertex_is_the_rest_of_the_path():
+    # the optimistic policy keeps a search's whole path as its plan, which
+    # is exact only if every vertex on the path would choose its rest
+    rng = Random(11)
+    paths = inner = 0
+    for _ in range(1000):
+        n = rng.randint(2, 12)
+        adj = {
+            u: tuple((rng.randrange(n), rng.choice((0, 0, 1, 1, 2)))
+                     for _ in range(rng.randint(1, 4)))
+            for u in range(n)
+        }
+        # few targets, so that paths are long
+        targets = set(rng.sample(range(1, n), rng.randint(1, max(1, n // 3))))
+        cost, path = md.shortest_path_to(adj, 0, targets.__contains__)
+        if path is None:
+            continue
+        paths += 1
+        dist, _ = reference_dijkstra(adj, 0)
+        for i in range(1, len(path) - 1):
+            inner += 1
+            assert (md.shortest_path_to(adj, path[i], targets.__contains__)
+                    == (cost - dist[path[i]], path[i:])), (adj, targets, path, i)
+    assert paths > 800 and inner > 600
+
+
 def check_history(m, history):
     """Validate a knowledge sequence: moves follow observations, repeated
     states repeat their observation, observations come from the model."""

@@ -484,9 +484,11 @@ class CheckedPolicy:
 
 def test_best_case_policy_matches_rebuilt_chain(dfa):
     # patching the skeleton product's successor table decides exactly as
-    # refining, taking the skeleton and rebuilding its product did
+    # refining, taking the skeleton and rebuilding its product did; the
+    # cases include the case study's multi-atom task.  Most decisions are
+    # read from a kept plan, and each is checked against a fresh search
     cases = regret_cases(dfa) + [(trap_model(), dfa)]
-    decisions = stuck = 0
+    decisions = searches = stuck = 0
     for m, a in cases:
         policy = CheckedPolicy(m, a)
         for env in md.compatible_envs(m):
@@ -495,7 +497,9 @@ def test_best_case_policy_matches_rebuilt_chain(dfa):
             except StuckNoPath:
                 stuck += 1
         decisions += policy.decisions
+        searches += policy.inner.searches
     assert decisions > 500 and stuck > 0
+    assert decisions - searches > 300
 
 
 def test_best_case_policy_builds_no_model_per_decision(t3, dfa, monkeypatch):
@@ -509,6 +513,30 @@ def test_best_case_policy_builds_no_model_per_decision(t3, dfa, monkeypatch):
     paths = [run(policy, t3, dfa, env).path for env in envs]
     assert paths == [(0, 1, 3), (0, 1, 0, 2, 3)]
     assert built == []
+
+
+def test_best_case_policy_searches_once_per_observation(t3, dfa):
+    # a kept plan serves every step until a new state is explored, and
+    # every run the policy serves; a search per step would make 336 on
+    # the case study and 6 on T3
+    for (m, a), searches, steps in (((t3, dfa), 3, 6), (case_study(), 17, 336)):
+        policy = sv.best_case_policy(m, a)
+        recs = [run(policy, m, a, env) for env in md.compatible_envs(m)]
+        assert sum(len(r.path) - 1 for r in recs) == steps
+        assert policy.searches == searches
+
+
+def test_best_case_regret_same_with_shared_or_fresh_policy(dfa):
+    # plans kept from one world's run are exact in every other world
+    cases = [(fixtures.t3(), dfa), case_study()] + [(m, dfa) for m in random_models()]
+    for m, a in cases:
+        envs = list(md.compatible_envs(m))
+        fresh = [run(sv.best_case_policy(m, a), m, a, t) for t in envs]
+        shared = sv.best_case_policy(m, a)
+        assert [run(shared, m, a, t).path for t in envs] == [r.path for r in fresh]
+        assert all(r.satisfied for r in fresh)
+        assert regret_of(sv.best_case_policy(m, a), m, a) == max(
+            r.cost - md.shortest_satisfying_cost(t, a) for r, t in zip(fresh, envs))
 
 
 def test_strategy_json_roundtrip(t3, dfa):
