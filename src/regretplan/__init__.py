@@ -1,7 +1,7 @@
 """Regret-minimizing exploration planning for co-safe temporal-logic tasks
 in partially-known environments."""
 
-from .arena import Arena, build_arena, size_bound
+from .arena import Arena, build_arena, build_ordered_arena, size_bound
 from .bench import BenchConfig, GenParams, generate, run_benchmark, sample_env
 from .errors import RegretPlanError
 from .execute import RunRecord, regret_of, run
@@ -51,6 +51,7 @@ __all__ = [
     "best_case_policy",
     "brute_force_optimal_regret",
     "build_arena",
+    "build_ordered_arena",
     "check_regret_bound",
     "compatible_envs",
     "dijkstra",

@@ -4,34 +4,21 @@ A bipartite graph alternating agent moves (commit to a successor) and
 environment moves (reveal the successor pattern at a newly explored
 state).  A vertex carries the physical state, the automaton state and
 the exploration suffix of the knowledge record; an env vertex also
-carries the committed successor.
+carries the committed successor.  ``build_ordered_arena`` keeps the
+order of exploration; ``build_arena`` builds the order-free quotient
+the solvers play on.
 
 Storage is flat.  Each knowledge suffix is interned once as an integer
-id in a trie keyed by (parent id, state, pattern index), with one row
-giving the observed pattern index of every state.  Keyed by the row
-instead, the same construction yields the order-free quotient: a vertex
-is then (x, q, row), the suffix of an id lists the row's observations in
-ascending state order, and plays that observed the same patterns in
-different orders meet.  The quotient also contracts every env vertex
-with a single successor: a move into a known or already explored state
-is one agent->agent edge carrying the movement weight, and only a move
-that reveals an unexplored state keeps an env vertex.  And it ends at
-acceptance and at dead automaton states: a play's payoff is fixed at
-acceptance, and a play at a dead q (``Dfa.dead``) is lost in every world,
-so an accepting or dead agent vertex gets an empty row.  Accepting
-automaton states are absorbing and so are dead ones, so what is dropped
-is only agent and env vertices with accepting or dead q.  The vertex cap
-counts each contracted env vertex and each accepting or dead vertex, but
-no successor of one: it bounds the uncontracted arena in the ordered
-form, and in the quotient the uncontracted arena up to acceptance or a
-dead q.  Vertices are numbered breadth-first and kept as parallel
-integer columns.  During the build only agent vertices are looked up,
-by one integer key: an env vertex has a single predecessor and is
-created once.  Edges are compressed sparse rows in vertex order, so an
-edge is an integer slot.  An agent's row lists its moves in ascending
-committed successor, which in the ordered arena is also target order;
-an env row is sorted by target.  A reverse index lists, per target, the
-slots entering it in order of source.
+id, with one row giving the observed pattern index of every state (-1
+while unexplored).
+Vertices are numbered breadth-first and kept as parallel integer
+columns.  During the build only agent vertices are looked up, by one
+integer key: an env vertex has a single predecessor and is created
+once.  Edges are compressed sparse rows in vertex order, so an edge is
+an integer slot.  An agent's row lists its moves in ascending committed
+successor, which in the ordered arena is also target order; an env row
+is sorted by target.  A reverse index lists, per target, the slots
+entering it in order of source.
 """
 
 from __future__ import annotations
@@ -116,39 +103,16 @@ class Arena:
         return zip(self.src, self.dst, self.wt)
 
 
-def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
-                quotient: bool = False) -> Arena:
-    """Breadth-first construction of everything reachable from the start;
-    with ``quotient``, knowledge is interned by its observed-pattern row,
-    only moves that reveal a pattern keep an env vertex, and accepting and
-    dead vertices have no moves.  ``cap`` bounds the uncontracted vertex
-    count, which in the quotient counts an accepting or dead vertex but
-    not its successors (ArenaTooLarge)."""
-    lab = [a.letter_index(m.labels[x]) for x in range(m.n)]
-    patterns = m.patterns
-
-    # knowledge trie: suffix id -> observed pattern index per state (-1
-    # while unexplored) and the suffix itself
-    rows = [array("i", [0 if len(p) == 1 else -1 for p in patterns])]
-    suffixes = [()]
-    children = {}  # (parent id, state, pattern index), or row -> suffix id
-
-    def explore(sid, x, p):
-        row = array("i", rows[sid])
-        row[x] = p
-        key = row.tobytes() if quotient else (sid, x, p)
-        child = children.get(key)
-        if child is None:
-            child = children[key] = len(suffixes)
-            rows.append(row)
-            sfx = suffixes[sid] + ((x, patterns[x][p]),)
-            suffixes.append(tuple(sorted(sfx)) if quotient else sfx)
-        return child
-
+def _vertices(m: Pkwts, a: Dfa, cap: int):
+    """Vertex columns holding the start vertex, the letter index of each
+    state, and the closures that extend the columns: ``grow`` counts one
+    vertex against ``cap`` (ArenaTooLarge), ``add`` appends a vertex and
+    returns its id, and ``agent`` looks an agent vertex up by one integer
+    key, adding it when new."""
     kind = bytearray()
     xs, qs, sfxs, xhats = array("i"), array("i"), array("i"), array("i")
     agent_ids = {}  # (sfx * |Q| + q) * |X| + x -> agent vertex id
-    size = 0  # vertices of the uncontracted arena, checked against cap
+    size = 0
 
     def grow():
         nonlocal size
@@ -173,43 +137,15 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
             vid = agent_ids[key] = add(0, x, q, sid, -1)
         return vid
 
-    # acceptance and dead q end every play of the quotient
-    ends = a.accepting | a.dead if quotient else ()
+    lab = [a.letter_index(m.labels[x]) for x in range(m.n)]
     agent(m.initial, a.trans[a.initial][lab[m.initial]], 0)
-    start, src, dst, wt = array("i", [0]), array("i"), array("i"), []
-    u = 0
-    while u < len(kind):  # vertices are appended in BFS order
-        x, q, sid = xs[u], qs[u], sfxs[u]
-        row = rows[sid]
-        if q in ends:
-            pass  # the payoff is fixed: an accepting or dead row stays empty
-        elif not kind[u]:
-            for xhat in patterns[x][row[x]]:
-                if quotient and row[xhat] >= 0:
-                    grow()  # the env vertex this edge contracts
-                    v = agent(xhat, a.trans[q][lab[xhat]], sid)
-                    w = m.weights[(x, xhat)]
-                else:
-                    v, w = add(1, x, q, sid, xhat), 0
-                src.append(u)
-                dst.append(v)
-                wt.append(w)
-        else:
-            xhat = xhats[u]
-            q2 = a.trans[q][lab[xhat]]
-            w = m.weights[(x, xhat)]
-            if row[xhat] >= 0:
-                succs = (agent(xhat, q2, sid),)
-            else:
-                succs = sorted([agent(xhat, q2, explore(sid, xhat, p))
-                                for p in range(len(patterns[xhat]))])
-            for v in succs:
-                src.append(u)
-                dst.append(v)
-                wt.append(w)
-        start.append(len(dst))
-        u += 1
+    return (kind, xs, qs, sfxs, xhats), lab, grow, add, agent
 
+
+def _finish(a: Dfa, columns, suffixes, start, src, dst, wt) -> Arena:
+    """The arena of the built columns and edge rows, with its reverse
+    index and accepting agent vertices."""
+    kind, xs, qs, sfxs, xhats = columns
     n = len(kind)
     indegree = [0] * n
     for v in dst:
@@ -231,8 +167,129 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
     )
 
 
+def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP) -> Arena:
+    """The order-free quotient the solvers play on, built breadth-first
+    from the start up to acceptance or a dead automaton state.
+
+    Knowledge is keyed by its observed-pattern row: a vertex is (x, q,
+    row), the suffix of an id lists the row's observations in ascending
+    state order, and plays that observed the same patterns in different
+    orders meet.  Every env vertex with a single successor is contracted:
+    a move into a known or already explored state is one agent->agent
+    edge carrying the movement weight, and only a move that reveals an
+    unexplored state keeps an env vertex.  A play's payoff is fixed at
+    acceptance, and a play at a dead q (``Dfa.dead``) is lost in every
+    world, so an accepting or dead agent vertex gets an empty row.
+    Accepting automaton states are absorbing and so are dead ones, so
+    what is dropped is only agent and env vertices with accepting or dead
+    q.  ``cap`` bounds the uncontracted arena up to acceptance or a dead
+    q: it counts each contracted env vertex and each accepting or dead
+    vertex, but no successor of one."""
+    columns, lab, grow, add, agent = _vertices(m, a, cap)
+    kind, xs, qs, sfxs, xhats = columns
+    patterns, weights, trans = m.patterns, m.weights, a.trans
+    rows = [array("i", [0 if len(p) == 1 else -1 for p in patterns])]
+    suffixes = [()]
+    children = {}  # row -> suffix id
+
+    def explore(sid, x, p):
+        row = array("i", rows[sid])
+        row[x] = p
+        key = row.tobytes()
+        child = children.get(key)
+        if child is None:
+            child = children[key] = len(suffixes)
+            rows.append(row)
+            suffixes.append(
+                tuple(sorted(suffixes[sid] + ((x, patterns[x][p]),))))
+        return child
+
+    ends = a.accepting | a.dead
+    start, src, dst, wt = array("i", [0]), array("i"), array("i"), []
+    u = 0
+    while u < len(kind):  # vertices are appended in BFS order
+        x, q, sid = xs[u], qs[u], sfxs[u]
+        row = rows[sid]
+        if kind[u]:  # a committed move that reveals xhat's pattern
+            xhat = xhats[u]
+            q2 = trans[q][lab[xhat]]
+            w = weights[(x, xhat)]
+            for v in sorted([agent(xhat, q2, explore(sid, xhat, p))
+                             for p in range(len(patterns[xhat]))]):
+                src.append(u)
+                dst.append(v)
+                wt.append(w)
+        elif q not in ends:  # the payoff is fixed at an accepting or dead q
+            for xhat in patterns[x][row[x]]:
+                if row[xhat] >= 0:
+                    grow()  # the env vertex this edge contracts
+                    v = agent(xhat, trans[q][lab[xhat]], sid)
+                    w = weights[(x, xhat)]
+                else:
+                    v, w = add(1, x, q, sid, xhat), 0
+                src.append(u)
+                dst.append(v)
+                wt.append(w)
+        start.append(len(dst))
+        u += 1
+    return _finish(a, columns, suffixes, start, src, dst, wt)
+
+
+def build_ordered_arena(m: Pkwts, a: Dfa,
+                        cap: int = DEFAULT_VERTEX_CAP) -> Arena:
+    """Breadth-first construction of everything reachable from the start,
+    with knowledge in order of exploration: suffixes are interned in a
+    trie keyed by (parent id, state, pattern index).  ``cap`` bounds the
+    vertex count."""
+    columns, lab, _, add, agent = _vertices(m, a, cap)
+    kind, xs, qs, sfxs, xhats = columns
+    patterns, weights, trans = m.patterns, m.weights, a.trans
+    rows = [array("i", [0 if len(p) == 1 else -1 for p in patterns])]
+    suffixes = [()]
+    children = {}  # (parent id, state, pattern index) -> suffix id
+
+    def explore(sid, x, p):
+        key = (sid, x, p)
+        child = children.get(key)
+        if child is None:
+            child = children[key] = len(suffixes)
+            row = array("i", rows[sid])
+            row[x] = p
+            rows.append(row)
+            suffixes.append(suffixes[sid] + ((x, patterns[x][p]),))
+        return child
+
+    start, src, dst, wt = array("i", [0]), array("i"), array("i"), []
+    u = 0
+    while u < len(kind):  # vertices are appended in BFS order
+        x, q, sid = xs[u], qs[u], sfxs[u]
+        row = rows[sid]
+        if not kind[u]:
+            for xhat in patterns[x][row[x]]:
+                src.append(u)
+                dst.append(add(1, x, q, sid, xhat))
+                wt.append(0)
+        else:
+            xhat = xhats[u]
+            q2 = trans[q][lab[xhat]]
+            w = weights[(x, xhat)]
+            if row[xhat] >= 0:
+                succs = (agent(xhat, q2, sid),)
+            else:
+                succs = sorted([agent(xhat, q2, explore(sid, xhat, p))
+                                for p in range(len(patterns[xhat]))])
+            for v in succs:
+                src.append(u)
+                dst.append(v)
+                wt.append(w)
+        start.append(len(dst))
+        u += 1
+    return _finish(a, columns, suffixes, start, src, dst, wt)
+
+
 def size_bound(m: Pkwts, a: Dfa) -> int:
-    """Worst-case vertex count: n! * 2^n * |X| * |Q| * |X| * skeleton edges."""
+    """Worst-case vertex count of the ordered arena, which bounds the
+    quotient too: n! * 2^n * |X| * |Q| * |X| * skeleton edges."""
     n_un = len(m.unknown_states)
     sk = skeleton(m)
     edge_measure = m.n * sum(len(s) for s in sk.successors)

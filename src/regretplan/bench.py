@@ -188,6 +188,12 @@ class BenchConfig:
     seed: int = 0
     params: GenParams = GenParams(n_states=15)  # template; n_states/seed overridden
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"need at least one trial, got {self.trials}")
+        if not self.states or not self.p_values:
+            raise ValueError("need at least one state count and probability")
+
 
 def _mix(*parts) -> int:
     h = 0

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import bench as bn
 from . import solver as sv
-from .arena import arena_to_json, build_arena
+from .arena import arena_to_json, build_ordered_arena
 from .errors import RegretPlanError
 from .execute import regret_of, run
 from .formula import atoms_of, dfa_to_json, parse, to_dfa
@@ -141,7 +141,7 @@ def _cmd_oracle(args):
 def _cmd_arena(args):
     m = load_model(args.model)
     dfa = _task_dfa(args.task, m.atoms)
-    _emit(arena_to_json(build_arena(m, dfa)), args.output)
+    _emit(arena_to_json(build_ordered_arena(m, dfa)), args.output)
     return 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arena import Arena, build_arena
+from .arena import Arena, build_ordered_arena
 from .errors import ArenaTooLarge, SearchSpaceTooLarge
 from .execute import run
 from .formula import Dfa
@@ -43,7 +43,7 @@ def brute_force_optimal_regret(
         raise SearchSpaceTooLarge(
             f"{len(m.unknown_states)} unknown states exceed oracle cap {unknown_cap}")
     try:
-        arena = build_arena(m, a, cap=vertex_cap)
+        arena = build_ordered_arena(m, a, cap=vertex_cap)
     except ArenaTooLarge as exc:
         raise SearchSpaceTooLarge(str(exc)) from exc
 
@@ -117,7 +117,10 @@ def brute_force_optimal_regret(
 
 
 def _env_move_table(arena: Arena, env):
-    """The unique move at every env vertex in one environment."""
+    """The unique move at every env vertex of the ordered arena in one
+    environment.  A branching vertex's successor is found by the last
+    entry of its suffix, the newest observation in exploration order; a
+    quotient suffix is sorted by state instead."""
     table = {}
     for v in range(arena.n):
         if arena.is_agent(v):

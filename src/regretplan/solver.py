@@ -338,7 +338,7 @@ class QuotientGame:
     @property
     def arena(self) -> Arena:
         if self._arena is None:
-            self._arena = build_arena(self.m, self.a, quotient=True)
+            self._arena = build_arena(self.m, self.a)
         return self._arena
 
     def regret(self):

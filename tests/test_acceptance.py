@@ -129,7 +129,7 @@ def test_criterion_4_property_suite(instance_suite):
         # every play of the regret strategy is a cheapest play to its
         # final vertex: true on this F target suite, not in general (see
         # test_regret_counterexample_to_shortest_play_reduction)
-        arena = ar.build_arena(m, TARGET_DFA)
+        arena = ar.build_ordered_arena(m, TARGET_DFA)
         dist = dict(md.dijkstra(dict(enumerate(arena.fwd)), arena.v0))
         for env in md.compatible_envs(m):
             rec = run(strategy, m, TARGET_DFA, env)
@@ -164,7 +164,7 @@ TABLE_SCALE = {15: 76, 20: 124, 30: 133, 50: 540, 80: 827, 100: 2520}
 def test_criterion_5_arena_size_bounds(instance_suite):
     instances, _, _ = instance_suite
     for idx, (m, _, _, _) in enumerate(instances[:50]):
-        arena = ar.build_arena(m, TARGET_DFA)
+        arena = ar.build_ordered_arena(m, TARGET_DFA)
         assert arena.n <= ar.size_bound(m, TARGET_DFA), idx
 
     for n_states, reference in TABLE_SCALE.items():
@@ -173,7 +173,7 @@ def test_criterion_5_arena_size_bounds(instance_suite):
                 n_states=n_states, n_possible=1, min_succ=1, max_succ=2,
                 min_cost=2, max_cost=5, n_targets=1, seed=seed)
             m = bench.generate(params)
-            arena = ar.build_arena(m, TARGET_DFA)
+            arena = ar.build_ordered_arena(m, TARGET_DFA)
             assert arena.n <= ar.size_bound(m, TARGET_DFA)
             assert arena.n <= 10 * reference, (n_states, seed, arena.n)
     print("\nACCEPTANCE 5 PASS: every arena respects the factorial bound; "

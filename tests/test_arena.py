@@ -13,7 +13,7 @@ from regretplan.errors import ArenaTooLarge
 from regretplan.formula import parse, to_dfa
 from regretplan.grid import grid_compile
 from regretplan.model import INF
-from test_solver import (edge_slot, id_of, multi_goal_model,
+from test_solver import (edge_slot, id_of, multi_goal_model, random_models,
                          reference_minmax, regret_terminal, zero)
 
 
@@ -29,7 +29,7 @@ def dfa():
 
 @pytest.fixture
 def t3_arena(t3, dfa):
-    return ar.build_arena(t3, dfa)
+    return ar.build_ordered_arena(t3, dfa)
 
 
 def vertex(arena, kind, x, q, sfx, xhat=None):
@@ -93,7 +93,7 @@ def test_size_bound(t3, dfa, t3_arena):
 
 def test_vertex_cap(t3, dfa):
     with pytest.raises(ArenaTooLarge):
-        ar.build_arena(t3, dfa, cap=4)
+        ar.build_ordered_arena(t3, dfa, cap=4)
 
 
 def test_fully_known_arena_mirrors_product(dfa):
@@ -104,7 +104,7 @@ def test_fully_known_arena_mirrors_product(dfa):
         weights={(0, 1): 2, (1, 2): 3, (2, 2): 4},
         labels=(frozenset(), frozenset(), frozenset({"target"})),
     )
-    arena = ar.build_arena(m, dfa)
+    arena = ar.build_ordered_arena(m, dfa)
     prod = md.product(md.skeleton(m), dfa)
     agent_states = {
         (arena.x[v], arena.q[v]) for v in range(arena.n) if arena.is_agent(v)
@@ -124,8 +124,8 @@ def order_free_image_dead_vertices(m, a):
     """Map the ordered arena of (m, a), walked up to acceptance or a dead
     automaton state, onto its quotient and check the image edge by edge;
     return the reached ordered vertices with a dead q, and both arenas."""
-    ordered = ar.build_arena(m, a)
-    quotient = ar.build_arena(m, a, quotient=True)
+    ordered = ar.build_ordered_arena(m, a)
+    quotient = ar.build_arena(m, a)
     ids = {quotient.vertex(v): v for v in range(quotient.n)}
     assert len(ids) == quotient.n < ordered.n
 
@@ -185,6 +185,16 @@ def test_quotient_is_the_order_free_image_of_the_arena():
     assert not a.dead
     dead, _, quotient = order_free_image_dead_vertices(m, a)
     assert dead == set() and quotient.accepting
+    # the two builders share no expansion code: the image check ties them
+    # together on the small models too
+    target = to_dfa(parse("F target"), {"target"})
+    cases = [(fixtures.t3(), target),
+             (grid_compile(fixtures.FIG1_GRID),
+              to_dfa(parse(fixtures.FIG1_TASK), {"f"}))]
+    cases += [(m, target) for m in random_models()]
+    assert len(cases) == 42
+    for m, a in cases:
+        assert order_free_image_dead_vertices(m, a)[0] == set()
 
     trap = to_dfa(parse("(!a U b)"), {"a", "b"})
     assert trap.dead
@@ -211,8 +221,8 @@ def test_quotient_cap_counts_contracted_env_vertices():
     m = grid_compile(fixtures.CASE_STUDY_GRID)
     a = to_dfa(parse(fixtures.CASE_STUDY_TASK), {"fire", "extinguisher"})
     with pytest.raises(ArenaTooLarge):
-        ar.build_arena(m, a, cap=14_132, quotient=True)
-    assert ar.build_arena(m, a, cap=14_133, quotient=True).n == 4_391
+        ar.build_arena(m, a, cap=14_132)
+    assert ar.build_arena(m, a, cap=14_133).n == 4_391
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +357,7 @@ def test_arena_golden_digests(t3_arena):
     assert t3_arena.n == 20
     assert arena_digest(t3_arena) == (
         "7366a3aa8dd09bf43ec70122155fc4971a47ae9fbd16691a71fa2f5a55a74c2d")
-    fig1 = ar.build_arena(grid_compile(fixtures.FIG1_GRID),
+    fig1 = ar.build_ordered_arena(grid_compile(fixtures.FIG1_GRID),
                           to_dfa(parse(fixtures.FIG1_TASK), {"f"}))
     assert fig1.n == 729
     assert arena_digest(fig1) == (
@@ -360,7 +370,7 @@ def test_case_study_build_allocation_peak():
     a = to_dfa(parse(fixtures.CASE_STUDY_TASK), {"fire", "extinguisher"})
     tracemalloc.start()
     try:
-        arena = ar.build_arena(m, a)
+        arena = ar.build_ordered_arena(m, a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -375,7 +385,7 @@ def test_case_study_quotient_build_allocation_peak():
     a = to_dfa(parse(fixtures.CASE_STUDY_TASK), {"fire", "extinguisher"})
     tracemalloc.start()
     try:
-        arena = ar.build_arena(m, a, quotient=True)
+        arena = ar.build_arena(m, a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,6 +1,7 @@
 """Random generation, environment sampling, and the comparison harness."""
 
 import hashlib
+import importlib
 import math
 from random import Random
 
@@ -11,6 +12,7 @@ from regretplan import model as md
 from regretplan import solver as sv
 from regretplan.execute import regret_of, run
 from regretplan.formula import parse, to_dfa
+from regretplan.grid import grid_compile
 
 
 DFA = to_dfa(parse("F target"), {"target"})
@@ -91,6 +93,30 @@ def test_run_benchmark_builds_one_arena_per_trial(monkeypatch):
     bench.run_benchmark(config)
     assert len(models) == 6
     assert len(builds) == len(models)
+
+
+# the library names perfbench looks up at call time, per module
+PERFBENCH_NAMES = {
+    "solver": ("build_arena", "solve_regret", "solve_worst_case",
+               "best_case_policy"),
+    "bench": ("generate", "sample_env", "solve_regret", "solve_worst_case",
+              "run", "run_benchmark", "rows_to_csv"),
+    "execute": ("run",),
+    "oracle": ("brute_force_optimal_regret",),
+    "errors": ("StuckNoPath", "SearchSpaceTooLarge"),
+}
+
+
+def test_every_name_perfbench_reaches_exists():
+    # a renamed entry point would make a traced benchmark run fail with an
+    # AttributeError; its arena allocation peak builds what the solvers do
+    for module, names in PERFBENCH_NAMES.items():
+        mod = importlib.import_module(f"regretplan.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), (module, name)
+    m = grid_compile(fixtures.CASE_STUDY_GRID)
+    a = to_dfa(parse(fixtures.CASE_STUDY_TASK), {"fire", "extinguisher"})
+    assert sv.build_arena(m, a).n == 4_391
 
 
 def test_generate_connected_skeleton():

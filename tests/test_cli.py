@@ -155,6 +155,20 @@ def test_bench_checks_possible_against_every_state_count(monkeypatch, capsys):
     assert config.states == (20,) and config.params.n_possible == 16
 
 
+@pytest.mark.parametrize("extra", [["--trials", "0"], ["--trials", "-3"],
+                                   ["--p", "0.5:0.2:0.1"]])
+def test_bench_rejects_no_trials_and_an_empty_grid(extra, monkeypatch, capsys):
+    # no trial, or a probability grid that counts down, leaves nothing to
+    # average: a usage error, not nan rows or a header-only CSV
+    configs = []
+    monkeypatch.setattr(bench, "run_benchmark",
+                        lambda config: configs.append(config) or [])
+    assert main(["bench", "--states", "6", "--trials", "1", "--p", "0.5"]
+                + extra) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert configs == []
+
+
 def test_solve_deterministic_bytes(t3_file, tmp_path, capsys):
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"

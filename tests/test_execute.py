@@ -115,7 +115,7 @@ def test_regret_of_cap(t3, dfa, regret_strategy):
 
 def test_run_cost_matches_arena_play_cost(t3, dfa, regret_strategy, worst_strategy):
     # walking the environment and walking the arena are the same thing
-    arena = ar.build_arena(t3, dfa)
+    arena = ar.build_ordered_arena(t3, dfa)
     for strategy in (regret_strategy, worst_strategy):
         for env in md.compatible_envs(t3):
             rec = run(strategy, t3, dfa, env)

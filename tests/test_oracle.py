@@ -76,12 +76,12 @@ def test_oracle_frees_its_arena_without_the_cycle_collector(t3, dfa, monkeypatch
     # broken, the arena it holds lives until the next cyclic collection
     refs = []
 
-    def build_arena(*args, **kwargs):
-        arena = ar.build_arena(*args, **kwargs)
+    def build_ordered_arena(*args, **kwargs):
+        arena = ar.build_ordered_arena(*args, **kwargs)
         refs.append(weakref.ref(arena))
         return arena
 
-    monkeypatch.setattr(orc, "build_arena", build_arena)
+    monkeypatch.setattr(orc, "build_ordered_arena", build_ordered_arena)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -150,7 +150,7 @@ def test_regret_bound_fully_known(dfa):
 def lookback_optimal_regret(m, dfa):
     """Minimum regret over strategies that may also condition on the
     previous agent vertex (one step of memory)."""
-    arena = ar.build_arena(m, dfa)
+    arena = ar.build_ordered_arena(m, dfa)
     envs = list(md.compatible_envs(m))
     opts = [md.shortest_satisfying_cost(t, dfa) for t in envs]
     accepting = set(arena.accepting)

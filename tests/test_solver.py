@@ -39,7 +39,7 @@ def dfa():
 
 @pytest.fixture
 def t3_arena(t3, dfa):
-    return ar.build_arena(t3, dfa)
+    return ar.build_ordered_arena(t3, dfa)
 
 
 def fully_known_line():
@@ -136,7 +136,7 @@ def test_esp_excludes_strictly_longer_detour(t3_arena):
 
 def test_esp_linear_chain_all_edges(dfa):
     m = fully_known_line()
-    arena = ar.build_arena(m, dfa)
+    arena = ar.build_ordered_arena(m, dfa)
     edges, _ = reference_e_sp(arena)
     chain = [
         id_of(arena, (ar.AGENT, 0, 0, ())),
@@ -158,7 +158,7 @@ def test_esp_unrealizable_raises():
         labels=(frozenset(), frozenset()),
     )
     dfa = to_dfa(parse("F target"), {"target"})
-    arena = ar.build_arena(m, dfa)
+    arena = ar.build_ordered_arena(m, dfa)
     with pytest.raises(UnrealizableTask):
         reference_e_sp(arena)
 
@@ -217,7 +217,7 @@ def test_minmax_value_zero_when_start_accepting(dfa):
         weights={(0, 1): 1, (1, 1): 1},
         labels=(frozenset({"target"}), frozenset()),
     )
-    arena = ar.build_arena(m, dfa)
+    arena = ar.build_ordered_arena(m, dfa)
     result = sv.solve_minmax(arena, zero)
     assert result.values[arena.v0] == 0
     assert move(arena, result, arena.v0) is None
@@ -254,7 +254,7 @@ def test_minmax_plays_stop_at_first_accepting_vertex(dfa):
         weights={(0, 1): 1, (1, 2): 1, (2, 2): 0},
         labels=(frozenset(), frozenset({"target"}), frozenset({"target"})),
     )
-    arena = ar.build_arena(m, dfa)
+    arena = ar.build_ordered_arena(m, dfa)
     result = sv.solve_minmax(arena, lambda v: -100 if arena.x[v] == 2 else 0)
     assert result.values[arena.v0] == 1
     first = id_of(arena, (ar.AGENT, 1, 1, ()))
@@ -269,7 +269,7 @@ def test_minmax_settles_exactly_the_vertices_up_to_the_root_value(dfa):
     cases += [(m, dfa) for m in random_models()]
     stopped = unrealizable = 0
     for m, a in cases:
-        arena = ar.build_arena(m, a, quotient=True)
+        arena = ar.build_arena(m, a)
         for terminal in (zero, regret_terminal(m, a, arena)):
             result = sv.solve_minmax(arena, terminal)
             ref, _ = reference_minmax(arena, arena.wt, terminal)
@@ -648,7 +648,7 @@ def test_best_response_matches_world_enumeration(dfa):
     assert len(cases) > 60
     derived = 0
     for m, a in cases:
-        arena = ar.build_arena(m, a)
+        arena = ar.build_ordered_arena(m, a)
         suffixes = {arena.suffixes[arena.sfx[v]] for v in arena.accepting}
         expected = {s: reference_best_response(m, a, s) for s in suffixes}
         for sign in (-1, 1):
@@ -743,7 +743,7 @@ def backward_values(arena, weights, terminal):
 def naive_backward_regret(m, dfa):
     """Min-max of (play cost - terminal best response) computed by plain
     backward iteration over the original weights."""
-    arena = ar.build_arena(m, dfa)
+    arena = ar.build_ordered_arena(m, dfa)
     br = sv.BestResponse(m, dfa)
     values = backward_values(arena, arena.wt,
                              lambda v: -br(arena.vertex(v)[3]))
@@ -859,7 +859,7 @@ def shortest_play_regret(m, a):
     """The paper's pipeline on the ordered arena: shortest-play edges,
     regret weights, then min-max with accepting vertices pinned to zero.
     Returns (value, decisions); (INF, None) when no strategy wins."""
-    arena = ar.build_arena(m, a)
+    arena = ar.build_ordered_arena(m, a)
     try:
         mu = reference_mu(arena, sv.BestResponse(m, a))
     except UnrealizableTask:
@@ -899,15 +899,16 @@ def test_solvers_match_value_iteration_and_slack_references(dfa):
     # stops past the root's value: values are exact up to it and above it
     # elsewhere, and every agent valued at most the root's picks the
     # reference's move
-    cases = [(fixtures.t3(), dfa, (False, True)),
+    both = (ar.build_ordered_arena, ar.build_arena)
+    cases = [(fixtures.t3(), dfa, both),
              (gr.grid_compile(fixtures.FIG1_GRID),
-              to_dfa(parse(fixtures.FIG1_TASK), {"f"}), (False, True)),
-             case_study() + ((True,),)]
-    cases += [(m, dfa, (False, True)) for m in random_models()]
+              to_dfa(parse(fixtures.FIG1_TASK), {"f"}), both),
+             case_study() + ((ar.build_arena,),)]
+    cases += [(m, dfa, both) for m in random_models()]
     above = 0
-    for m, a, forms in cases:
-        for quotient in forms:
-            arena = ar.build_arena(m, a, quotient=quotient)
+    for m, a, builders in cases:
+        for build in builders:
+            arena = build(m, a)
             for terminal in (zero, regret_terminal(m, a, arena)):
                 result = sv.solve_minmax(arena, terminal)
                 ref, choices = reference_minmax(arena, arena.wt, terminal)
@@ -1033,7 +1034,7 @@ def test_dead_state_cut_keeps_every_decision():
         if m is None:
             continue
         for a in tasks:
-            arena = ar.build_arena(m, a)
+            arena = ar.build_ordered_arena(m, a)
             for solve, terminal in ((sv.solve_regret,
                                      regret_terminal(m, a, arena)),
                                     (sv.solve_worst_case, zero)):
