@@ -11,9 +11,9 @@ the solvers play on.
 Storage is flat.  Each knowledge suffix is interned once as an integer
 id, with one row giving the observed pattern index of every state (-1
 while unexplored).
-Vertices are numbered breadth-first and kept as parallel integer
-columns.  During the build only agent vertices are looked up, by one
-integer key: an env vertex has a single predecessor and is created
+Vertices are numbered in order of discovery and kept as parallel
+integer columns.  During the build only agent vertices are looked up, by
+one integer key: an env vertex has a single predecessor and is created
 once.  Edges are compressed sparse rows in vertex order, so an edge is
 an integer slot.  An agent's row lists its moves in ascending committed
 successor, which in the ordered arena is also target order; an env row
@@ -26,11 +26,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import accumulate
 
 from .errors import ArenaTooLarge
 from .formula import Dfa
-from .model import Pkwts, skeleton
+from .model import INF, Pkwts, dijkstra, skeleton
 
 DEFAULT_VERTEX_CAP = 5_000_000
 
@@ -59,9 +60,9 @@ class _Rows:
 @dataclass(frozen=True, eq=False)
 class Arena:
     """Reachable game graph with movement weights on the edges entering
-    agent vertices; in the quotient, reachable up to acceptance or a dead
-    automaton state, and the row of an accepting or dead vertex is
-    empty."""
+    agent vertices; in the quotient, reachable up to acceptance, a dead
+    automaton state or the cut, and the row of an accepting, dead or
+    unexpanded vertex is empty."""
 
     kind: bytearray          # id -> 0 on agent vertices, 1 on env vertices
     x: array                 # id -> physical state
@@ -142,9 +143,9 @@ def _vertices(m: Pkwts, a: Dfa, cap: int):
     return (kind, xs, qs, sfxs, xhats), lab, grow, add, agent
 
 
-def _finish(a: Dfa, columns, suffixes, start, src, dst, wt) -> Arena:
-    """The arena of the built columns and edge rows, with its reverse
-    index and accepting agent vertices."""
+def _finish(columns, suffixes, accepting, start, src, dst, wt) -> Arena:
+    """The arena of the built columns, accepting vertices and edge rows,
+    with its reverse index."""
     kind, xs, qs, sfxs, xhats = columns
     n = len(kind)
     indegree = [0] * n
@@ -157,19 +158,34 @@ def _finish(a: Dfa, columns, suffixes, start, src, dst, wt) -> Arena:
         rev_edge[fill[v]] = e
         fill[v] += 1
 
-    accepting = tuple(
-        v for v in range(n) if not kind[v] and qs[v] in a.accepting
-    )
     return Arena(
         kind=kind, x=xs, q=qs, sfx=sfxs, xhat=xhats, suffixes=tuple(suffixes),
-        v0=0, accepting=accepting, start=start, src=src, dst=dst, wt=wt,
+        v0=0, accepting=tuple(accepting), start=start, src=src, dst=dst, wt=wt,
         rev_start=rev_start, rev_edge=rev_edge,
     )
 
 
-def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP) -> Arena:
-    """The order-free quotient the solvers play on, built breadth-first
-    from the start up to acceptance or a dead automaton state.
+def _to_go(m: Pkwts, a: Dfa) -> list:
+    """h at ``x * |Q| + q``: the cheapest cost from (x, q) to acceptance
+    in skeleton x automaton, INF where none, as at a dead q."""
+    top = m.n * a.n  # the search's source
+    back = {top: [(x * a.n + q, 0) for x in range(m.n) for q in a.accepting]}
+    for x, succ in enumerate(skeleton(m).successors):
+        for y in succ:
+            col, w = a.letter_index(m.labels[y]), m.weights[(x, y)]
+            for q in range(a.n):
+                back.setdefault(y * a.n + a.trans[q][col], []).append(
+                    (x * a.n + q, w))
+    h = [INF] * (top + 1)
+    for u, d in dijkstra(back, top):
+        h[u] = d
+    return h
+
+
+def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
+                limit=INF) -> Arena:
+    """The order-free quotient the solvers play on, built from the start
+    up to acceptance, a dead automaton state, or the cut at ``limit``.
 
     Knowledge is keyed by its observed-pattern row: a vertex is (x, q,
     row), the suffix of an id lists the row's observations in ascending
@@ -184,7 +200,14 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP) -> Arena:
     what is dropped is only agent and env vertices with accepting or dead
     q.  ``cap`` bounds the uncontracted arena up to acceptance or a dead
     q: it counts each contracted env vertex and each accepting or dead
-    vertex, but no successor of one."""
+    vertex, but no successor of one.
+
+    Vertices are expanded in order of f = g + h (A*), ties by id: g is
+    the cheapest cost of reaching the vertex and h (``_to_go``, w(x, xhat)
+    + h(xhat) at an env vertex) a consistent lower bound on the cost to
+    acceptance.  The build stops at the first pop with f > ``limit``: a
+    vertex met but not expanded keeps an empty row and is not accepting.
+    At ``limit`` INF every vertex is expanded."""
     columns, lab, grow, add, agent = _vertices(m, a, cap)
     kind, xs, qs, sfxs, xhats = columns
     patterns, weights, trans = m.patterns, m.weights, a.trans
@@ -204,35 +227,73 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP) -> Arena:
                 tuple(sorted(suffixes[sid] + ((x, patterns[x][p]),))))
         return child
 
+    h, nq = _to_go(m, a), a.n
+    g = array("q")  # id -> cheapest cost found so far; < 0 once expanded
+    heap = []
+
+    def reach(v, d, f):  # offer v the cost d; f = d + h(v)
+        if v == len(g):
+            g.append(d)
+        elif d < g[v]:
+            g[v] = d
+        else:
+            return
+        heappush(heap, (f, v))
+
+    reach(0, 0, h[xs[0] * nq + qs[0]])
     ends = a.accepting | a.dead
-    start, src, dst, wt = array("i", [0]), array("i"), array("i"), []
-    u = 0
-    while u < len(kind):  # vertices are appended in BFS order
+    src, dst, wt = array("i"), array("i"), []  # rows in pop order
+    while heap:
+        f, u = heappop(heap)
+        if f > limit:
+            break
+        d = g[u]
+        if d < 0:  # expanded at a lower f
+            continue
+        g[u] = ~len(dst)  # expanded: ~g[u] is its first slot in pop order
         x, q, sid = xs[u], qs[u], sfxs[u]
         row = rows[sid]
         if kind[u]:  # a committed move that reveals xhat's pattern
             xhat = xhats[u]
             q2 = trans[q][lab[xhat]]
             w = weights[(x, xhat)]
+            fv = d + w + h[xhat * nq + q2]
             for v in sorted([agent(xhat, q2, explore(sid, xhat, p))
                              for p in range(len(patterns[xhat]))]):
+                reach(v, d + w, fv)
                 src.append(u)
                 dst.append(v)
                 wt.append(w)
         elif q not in ends:  # the payoff is fixed at an accepting or dead q
             for xhat in patterns[x][row[x]]:
+                q2 = trans[q][lab[xhat]]
+                w = weights[(x, xhat)]
+                fv = d + w + h[xhat * nq + q2]
                 if row[xhat] >= 0:
                     grow()  # the env vertex this edge contracts
-                    v = agent(xhat, trans[q][lab[xhat]], sid)
-                    w = weights[(x, xhat)]
+                    v = agent(xhat, q2, sid)
+                    reach(v, d + w, fv)
                 else:
                     v, w = add(1, x, q, sid, xhat), 0
+                    reach(v, d, fv)
                 src.append(u)
                 dst.append(v)
                 wt.append(w)
-        start.append(len(dst))
-        u += 1
-    return _finish(a, columns, suffixes, start, src, dst, wt)
+
+    degree = [0] * len(kind)
+    for u in src:
+        degree[u] += 1
+    slots = array("i")  # the rows in id order
+    for u, k in enumerate(degree):
+        if k:
+            slots.extend(range(~g[u], ~g[u] + k))
+    start = array("i", accumulate(degree, initial=0))
+    accepting = [v for v in range(len(kind))
+                 if g[v] < 0 and not kind[v] and qs[v] in a.accepting]
+    return _finish(columns, suffixes, accepting, start,
+                   array("i", map(src.__getitem__, slots)),
+                   array("i", map(dst.__getitem__, slots)),
+                   list(map(wt.__getitem__, slots)))
 
 
 def build_ordered_arena(m: Pkwts, a: Dfa,
@@ -284,7 +345,9 @@ def build_ordered_arena(m: Pkwts, a: Dfa,
                 wt.append(w)
         start.append(len(dst))
         u += 1
-    return _finish(a, columns, suffixes, start, src, dst, wt)
+    accepting = [v for v in range(len(kind))
+                 if not kind[v] and qs[v] in a.accepting]
+    return _finish(columns, suffixes, accepting, start, src, dst, wt)
 
 
 def size_bound(m: Pkwts, a: Dfa) -> int:

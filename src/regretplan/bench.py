@@ -29,6 +29,9 @@ TARGET_TASK = "F target"
 
 _TARGET_DFA = to_dfa(parse(TARGET_TASK), {"target"})
 
+# every generated model shares these two label sets
+_TARGET, _PLAIN = frozenset({"target"}), frozenset()
+
 MAX_GENERATION_ATTEMPTS = 10_000
 
 
@@ -112,9 +115,7 @@ def _candidate(rng: Random, p: GenParams):
             weights[(x, y)] = rng.randint(p.min_cost, p.max_cost)
 
     targets = set(rng.sample(range(1, n), p.n_targets))
-    labels = tuple(
-        frozenset({"target"}) if x in targets else frozenset() for x in range(n)
-    )
+    labels = tuple(_TARGET if x in targets else _PLAIN for x in range(n))
     return Pkwts(
         n=n,
         initial=0,

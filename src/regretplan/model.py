@@ -289,7 +289,11 @@ def product(t: Wts, a: Dfa) -> Product:
 
 def shortest_satisfying_cost(t: Wts, a: Dfa):
     """Cost of the cheapest path whose trace is a good prefix; INF if none."""
-    prod = product(t, a)
+    return satisfying_cost(product(t, a))
+
+
+def satisfying_cost(prod: Product):
+    """Cost of the cheapest path from ``prod.initial`` to acceptance."""
     return next((d for s, d in dijkstra(prod, prod.initial)
                  if prod.accepting(s)), INF)
 

@@ -57,6 +57,21 @@ Why this solves the regret game:
    unsettled agent vertex holds an offer above it and an unsettled env
    vertex is still INF: no move into an unsettled vertex ties with the
    value of a vertex the walk meets.  An INF root never stops the solve.
+6. Cutting the build at a limit is exact.  h(x, q), the cheapest cost to
+   acceptance in skeleton x automaton, bounds every world's, so a play
+   through v costs at least g(v) + h(v), g(v) being v's cheapest cost
+   from the start; h is consistent, so ``build_arena`` expands every
+   vertex with g + h <= limit.  U, the optimum of the intersection world
+   (each state keeps the successors all its patterns share), is at least
+   every world's optimum, so br(row) <= U for every row, and its path
+   wins blindly: worst <= U and regret <= U - br0 <= U - h(v0).  With
+   B = U, E = 0 (worst) or B = U - h(v0), E = U (regret), the limit is
+   B + E.  A vertex past the cut has no moves and is INF, so no value
+   falls.  If g(v) + value(v) <= B, every play of v's strategy, entered
+   along v's cheapest path, ends at a cost at most B plus its seed's
+   bound E, so the strategy is built and v's value is exact.  The walk
+   meets only such vertices, a move attaining the full value leads to
+   another, and any other move is valued higher: it picks the same moves.
 
 The paper's shortest-play reduction (charge cost minus best response on
 edges entering an accepting vertex, forbid edges on no cheapest play) is
@@ -81,7 +96,8 @@ from .errors import (
     UnrealizableTask,
 )
 from .formula import Dfa
-from .model import INF, Pkwts, dijkstra, product, shortest_path_to, skeleton
+from .model import (INF, Pkwts, dijkstra, product, satisfying_cost,
+                    shortest_path_to, skeleton)
 
 log = logging.getLogger("regretplan.solver")
 
@@ -326,23 +342,40 @@ def _reachable_decisions(arena: Arena, values: list) -> dict:
 # the three synthesis entry points
 
 class QuotientGame:
-    """One model's quotient game, solvable for either objective.  The
-    arena is built by the first solve and shared by the next, and only
-    the regret solve evaluates best responses."""
+    """One model's quotient game, solvable for either objective, cut at
+    U (worst case) or 2U - h(v0) (regret; item 6).  A solve reuses an
+    arena built at a limit at least its own, and only the regret solve
+    evaluates best responses."""
 
     def __init__(self, m: Pkwts, a: Dfa):
         self.m = m
         self.a = a
-        self._arena = None
+        self._arena, self._limit = None, -INF
+        self._bounds = None
 
-    @property
-    def arena(self) -> Arena:
-        if self._arena is None:
-            self._arena = build_arena(self.m, self.a)
+    def bounds(self) -> tuple:
+        """(U, h(v0)): the cheapest satisfying cost in the intersection
+        world, where each state keeps the successors common to all its
+        patterns, and in the skeleton."""
+        if self._bounds is None:
+            sk = product(skeleton(self.m), self.a)
+            common = tuple(set.intersection(*map(set, family))
+                           for family in self.m.patterns)
+            self._bounds = (satisfying_cost(replace(sk, successors=common)),
+                            satisfying_cost(sk))
+        return self._bounds
+
+    def arena(self, limit) -> Arena:
+        if self._limit < limit:
+            self._arena = None  # free the smaller arena before the build
+            self._arena = build_arena(self.m, self.a, limit=limit)
+            self._limit = limit
         return self._arena
 
     def regret(self):
-        arena = self.arena
+        u, h0 = self.bounds()
+        limit = 2 * u - h0 if u < INF else INF
+        arena = self.arena(limit)
         br = BestResponse(self.m, self.a)
 
         def suffix(v):
@@ -352,13 +385,15 @@ class QuotientGame:
         order = sorted(arena.accepting, key=lambda v: -len(suffix(v)))
         seeds = {v: -br(suffix(v)) for v in order}
         result = solve_minmax(arena, seeds.__getitem__)
-        return _positional("regret", arena, result,
+        return _positional("regret", arena, result, u, limit,
                            f", {br.searches} best-response searches,"
                            f" {br.derived} derived")
 
     def worst_case(self):
-        arena = self.arena
-        return _positional("worst", arena, solve_minmax(arena, lambda v: 0))
+        u = self.bounds()[0]
+        arena = self.arena(u)
+        return _positional("worst", arena, solve_minmax(arena, lambda v: 0),
+                           u, u)
 
 
 def _game(m: Pkwts, a: Dfa, game) -> QuotientGame:
@@ -381,11 +416,11 @@ def solve_worst_case(m: Pkwts, a: Dfa, game: QuotientGame | None = None):
 
 
 def _positional(objective: str, arena: Arena, result: MinMaxResult,
-                note: str = ""):
+                u, limit, note: str = ""):
     """The solved game's strategy from the initial vertex, and its value."""
-    log.debug("%s game: %d vertices, %d edges, %d settled, %d distinct rows%s",
-              objective, arena.n, len(arena.dst), result.sweeps,
-              len(arena.suffixes), note)
+    log.debug("%s game: U %s, limit %s, %d vertices, %d edges, %d settled,"
+              " %d distinct rows%s", objective, u, limit, arena.n,
+              len(arena.dst), result.sweeps, len(arena.suffixes), note)
     value = result.values[arena.v0]
     if value == INF:
         raise UnrealizableTask("no strategy wins in every compatible environment")

@@ -415,6 +415,63 @@ def test_shared_game_builds_once_in_the_first_solve(t3, dfa, monkeypatch):
     assert (len(builds), len(responses)) == (1, 1)
 
 
+class FullGame(sv.QuotientGame):
+    """The quotient game built without a cut, at limit INF."""
+
+    def arena(self, limit):
+        return super().arena(INF)
+
+
+def quotient_rows(arena):
+    """Vertex tuple -> its row of (vertex tuple, weight), in row order."""
+    return {arena.vertex(v): [(arena.vertex(t), w) for t, w in arena.fwd[v]]
+            for v in range(arena.n)}
+
+
+def test_cut_quotient_solves_exactly(dfa, monkeypatch):
+    # each objective's cut at the game's limit gives the strategy JSON of
+    # the uncut quotient, in either order on one game; every kept vertex
+    # is a vertex of the full quotient and every expanded row is its row
+    # there.  Worst case then regret builds at most twice, regret then
+    # worst case once
+    cases = [(fixtures.t3(), dfa), (trap_model(), dfa),
+             (gr.grid_compile(fixtures.FIG1_GRID),
+              to_dfa(parse(fixtures.FIG1_TASK), {"f"})), case_study()]
+    cases += [(m, dfa) for m in random_models()]
+    cases += [(bench.generate(bench.GenParams(n_states=8 + seed % 8,
+                                              n_possible=2 + seed % 3,
+                                              seed=seed)), dfa)
+              for seed in range(240)]
+    tasks = [to_dfa(parse(text), {"a", "b"}) for text in MULTI_GOAL_TASKS]
+    cases += [(m, a) for m in map(multi_goal_model, range(50, 80))
+              if m is not None for a in tasks]
+    builds, build_arena = [], sv.build_arena
+
+    def counting_build(*args, **kwargs):
+        builds.append(build_arena(*args, **kwargs))
+        return builds[-1]
+
+    monkeypatch.setattr(sv, "build_arena", counting_build)
+    solvers = (sv.solve_regret, sv.solve_worst_case)
+    unbounded = cut = 0
+    for m, a in cases:
+        full = FullGame(m, a)
+        expected = [outcome(solve, m, a, full) for solve in solvers]
+        full_rows = quotient_rows(full.arena(INF))
+        for order, most in ((solvers, 1), (solvers[::-1], 2)):
+            game = sv.QuotientGame(m, a)
+            builds.clear()
+            shared = {solve: outcome(solve, m, a, game) for solve in order}
+            assert [shared[solve] for solve in solvers] == expected, m
+            assert 1 <= len(builds) <= most
+            for vt, row in quotient_rows(builds[-1]).items():
+                assert row in ([], full_rows[vt]), vt
+            cut += builds[-1].n < len(full_rows)
+        unbounded += game.bounds()[0] == INF
+    assert len(cases) == 374 and unbounded >= 1 and cut > 600, (
+        unbounded, cut)
+
+
 def test_best_case_policy_runs(t3, dfa):
     policy = sv.best_case_policy(t3, dfa)
     rec_yes = run(policy, t3, dfa, fixtures.t3_env_yes())
@@ -672,29 +729,42 @@ def test_best_response_memo_ignores_exploration_order():
 
 
 def test_case_study_regret_searches_only_complete_rows(monkeypatch):
-    # the 81 seeded rows are evaluated most-observed first, so only the 16
-    # rows that observe all 4 unknown states are searched
-    sources = []
+    # the seeded rows are evaluated most-observed first, so a row is
+    # searched only when, for each of its unexplored states, some
+    # completion is not memoized.  The regret cut keeps 74 accepting
+    # vertices: 14 searched rows observe all 4 unknown states, and 5 are
+    # partial rows whose completions the cut removed, such as (1, 1, -1, 0)
+    rows = []
 
     def counting(adj, source):
-        sources.append(source)
+        row = source[2]
+        rows.append(row)
+        for j, k in enumerate(adj.n_patterns):
+            if row[j] < 0:
+                completions = [row[:j] + (p,) + row[j + 1:] for p in range(k)]
+                assert not all(r in adj.memo for r in completions), (row, j)
         return md.dijkstra(adj, source)
 
     monkeypatch.setattr(sv, "dijkstra", counting)
     m, a = case_study()
     assert sv.solve_regret(m, a)[1] == 4
-    assert len(sources) == 16
-    assert all(-1 not in row for _, _, row in sources)
+    assert len(rows) == 19
+    assert sum(-1 not in row for row in rows) == 14
+    assert (1, 1, -1, 0) in rows
 
 
 def test_regret_debug_line_reports_best_response_paths(caplog):
+    # each line reports U, the cut's limit and the vertices kept: the
+    # worst-case game is cut at U = 22, the regret game at 2U - h(v0) = 30
     m, a = case_study()
     with caplog.at_level(logging.DEBUG, logger="regretplan.solver"):
         sv.solve_regret(m, a)
         sv.solve_worst_case(m, a)
     regret, worst = (r.getMessage() for r in caplog.records)
-    assert regret.startswith("regret game: 4391 vertices, 10432 edges")
-    assert regret.endswith(", 16 best-response searches, 65 derived")
+    assert regret.startswith(
+        "regret game: U 22, limit 30, 2523 vertices, 5328 edges")
+    assert regret.endswith(", 19 best-response searches, 55 derived")
+    assert worst.startswith("worst game: U 22, limit 22, 531 vertices")
     assert "best-response" not in worst
 
 
