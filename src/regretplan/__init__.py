@@ -8,19 +8,16 @@ from .execute import RunRecord, regret_of, run
 from .formula import Dfa, parse, progress, to_dfa
 from .grid import grid_compile
 from .model import (
-    KnowledgeSet,
     Pkwts,
     Product,
     Wts,
     compatible_envs,
     dijkstra,
-    initial_knowledge,
     is_compatible,
     model_from_json,
     model_to_json,
     product,
     skeleton,
-    update,
 )
 from .oracle import brute_force_optimal_regret, check_regret_bound
 from .solver import (
@@ -39,7 +36,6 @@ __all__ = [
     "BenchConfig",
     "Dfa",
     "GenParams",
-    "KnowledgeSet",
     "OnlinePolicy",
     "Pkwts",
     "PositionalStrategy",
@@ -57,7 +53,6 @@ __all__ = [
     "dijkstra",
     "generate",
     "grid_compile",
-    "initial_knowledge",
     "is_compatible",
     "model_from_json",
     "model_to_json",
@@ -73,5 +68,4 @@ __all__ = [
     "solve_regret",
     "solve_worst_case",
     "to_dfa",
-    "update",
 ]

@@ -194,6 +194,9 @@ class BenchConfig:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if not self.states or not self.p_values:
             raise ValueError("need at least one state count and probability")
+        bad = [p for p in self.p_values if not 0 <= p <= 1]
+        if bad:
+            raise ValueError(f"probabilities must lie in [0, 1], got {bad}")
 
 
 def _mix(*parts) -> int:

@@ -34,10 +34,6 @@ class NegativeWeight(RegretPlanError):
     """Shortest-path search received a negative edge weight."""
 
 
-class InconsistentKnowledge(RegretPlanError):
-    """Two different observations were recorded for the same state."""
-
-
 class TooManyUnknowns(RegretPlanError):
     """Unknown-state count exceeds the enumeration cap."""
 

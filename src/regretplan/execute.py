@@ -9,24 +9,25 @@ from .formula import Dfa
 from .model import (
     DEFAULT_UNKNOWN_CAP,
     INF,
-    KnowledgeSet,
     Pkwts,
     Wts,
     compatible_envs,
-    initial_knowledge,
     is_compatible,
     shortest_satisfying_cost,
-    update,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
+    """One run.  ``knowledge_final`` is the exploration suffix
+    ``((x, pattern), ...)``: each unknown state visited, with the pattern
+    it showed, in the order of first visits."""
+
     path: tuple
     history: tuple           # (state, observed successor tuple) per visit
     cost: int
     satisfied: bool
-    knowledge_final: KnowledgeSet
+    knowledge_final: tuple
 
     def to_json(self) -> dict:
         return {
@@ -34,17 +35,8 @@ class RunRecord:
             "history": [[x, list(o)] for x, o in self.history],
             "cost": self.cost,
             "satisfied": self.satisfied,
-            "knowledge_final": [
-                [x, list(o)] for x, o in self.knowledge_final.suffix
-            ],
+            "knowledge_final": [[x, list(o)] for x, o in self.knowledge_final],
         }
-
-
-def _step_cap(m: Pkwts, a: Dfa) -> int:
-    # between two explorations a terminating positional run cannot revisit
-    # a (state, automaton state) pair, and there are at most |unknown|
-    # exploration events
-    return 4 * m.n * a.n * (len(m.unknown_states) + 1)
 
 
 def run(strategy, m: Pkwts, a: Dfa, actual: Wts) -> RunRecord:
@@ -53,38 +45,43 @@ def run(strategy, m: Pkwts, a: Dfa, actual: Wts) -> RunRecord:
     if not is_compatible(actual, m):
         raise IncompatibleEnvironment("environment does not match the possible world")
 
+    unexplored = set(m.unknown_states)
+    # between two explorations a terminating positional run cannot revisit
+    # a (state, automaton state) pair, and there are at most |unknown|
+    # exploration events
+    cap = 4 * m.n * a.n * (len(unexplored) + 1)
     x = m.initial
     q = a.step(a.initial, m.labels[x])
-    k = initial_knowledge(m)
+    suffix = ()
     path = [x]
     history = [(x, actual.successors[x])]
     cost = 0
-    cap = _step_cap(m, a)
 
     while True:
-        go = strategy.decide(x, q, k.suffix)
+        go = strategy.decide(x, q, suffix)
         if go is None:
             break
-        if go not in k.obs(x):
+        if go not in actual.successors[x]:
             raise StrategyIncomplete(
                 f"decision {x}->{go} is not an observed successor")
         cost += m.weights[(x, go)]
         x = go
         obs = actual.successors[x]
-        k = update(k, (x, obs))
+        if x in unexplored:
+            unexplored.remove(x)
+            suffix += ((x, obs),)
         history.append((x, obs))
         q = a.step(q, m.labels[x])
         path.append(x)
         if len(path) > cap:
             raise NonTermination(f"run exceeded {cap} steps without stopping")
 
-    trace = [m.labels[s] for s in path]
     return RunRecord(
         path=tuple(path),
         history=tuple(history),
         cost=cost,
-        satisfied=a.accepts(trace),
-        knowledge_final=k,
+        satisfied=q in a.accepting,
+        knowledge_final=suffix,
     )
 
 

@@ -1,5 +1,5 @@
 """World models: concrete transition systems, possible-world models with
-successor patterns, knowledge bookkeeping, task products, and shortest paths.
+successor patterns, task products, and shortest paths.
 
 Weights are nonnegative integers.  Zero weight is reserved for designated
 self-loops at labeled goal states; every movement edge costs at least one
@@ -15,12 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import (
-    AtomMismatch,
-    InconsistentKnowledge,
-    NegativeWeight,
-    TooManyUnknowns,
-)
+from .errors import AtomMismatch, NegativeWeight, TooManyUnknowns
 from .formula import Dfa
 
 INF = math.inf
@@ -128,76 +123,8 @@ class Pkwts:
         return tuple(x for x in range(self.n) if len(self.patterns[x]) > 1)
 
     @property
-    def known_states(self):
-        return tuple(x for x in range(self.n) if len(self.patterns[x]) == 1)
-
-    @property
     def fully_known(self) -> bool:
         return not self.unknown_states
-
-
-# ---------------------------------------------------------------------------
-# knowledge
-
-class KnowledgeSet:
-    """Ordered record of observed successor patterns.
-
-    The base part lists every a-priori known state in ascending id order;
-    the suffix appends unknown states in the order they were explored.
-    Equality and hashing look at the suffix only: the base is a per-model
-    constant.
-    """
-
-    __slots__ = ("base", "suffix", "_omap")
-
-    def __init__(self, base, suffix=()):
-        object.__setattr__(self, "base", tuple(base))
-        object.__setattr__(self, "suffix", tuple(suffix))
-        omap = {}
-        for x, o in self.base + self.suffix:
-            o = tuple(o)
-            if x in omap and omap[x] != o:
-                raise InconsistentKnowledge(f"state {x} recorded with two observations")
-            omap[x] = o
-        object.__setattr__(self, "_omap", omap)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KnowledgeSet is immutable")
-
-    def explored(self, x: int) -> bool:
-        return x in self._omap
-
-    def obs(self, x: int):
-        return self._omap[x]
-
-    def items(self):
-        return self.base + self.suffix
-
-    def __eq__(self, other):
-        return isinstance(other, KnowledgeSet) and self.suffix == other.suffix
-
-    def __hash__(self):
-        return hash(self.suffix)
-
-    def __repr__(self):
-        return f"KnowledgeSet(suffix={self.suffix!r})"
-
-
-def initial_knowledge(m: Pkwts) -> KnowledgeSet:
-    base = tuple((x, m.patterns[x][0]) for x in m.known_states)
-    return KnowledgeSet(base)
-
-
-def update(k: KnowledgeSet, kn) -> KnowledgeSet:
-    """Record one observation; re-observing an explored state must agree."""
-    x, o = kn
-    o = tuple(o)
-    if k.explored(x):
-        if k.obs(x) != o:
-            raise InconsistentKnowledge(
-                f"state {x}: recorded {k.obs(x)}, now observed {o}")
-        return k
-    return KnowledgeSet(k.base, k.suffix + ((x, o),))
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +166,10 @@ def compatible_envs(m: Pkwts, cap: int = DEFAULT_UNKNOWN_CAP):
 
 
 def is_compatible(t: Wts, m: Pkwts) -> bool:
-    if t.n != m.n or t.initial != m.initial or t.labels != m.labels:
-        return False
-    for x in range(m.n):
-        if tuple(sorted(t.successors[x])) not in {
-            tuple(sorted(p)) for p in m.patterns[x]
-        }:
-            return False
-    return True
+    """Both sides hold sorted successor tuples, so a pattern is compared
+    as it is."""
+    return (t.n == m.n and t.initial == m.initial and t.labels == m.labels
+            and all(s in family for s, family in zip(t.successors, m.patterns)))
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def check_regret_bound(strategy, m: Pkwts, a: Dfa) -> RegretBoundReport:
             violations.append(f"environment {idx}: task not satisfied")
             continue
         opt = shortest_satisfying_cost(t, a)
-        br = br_fn(rec.knowledge_final.suffix)
+        br = br_fn(rec.knowledge_final)
         per_env_regret = rec.cost - opt
         bound = rec.cost - br
         entries.append({

@@ -136,7 +136,7 @@ def test_criterion_4_property_suite(instance_suite):
             assert rec.satisfied, (idx, "strategy not winning")
             final = id_of(arena, ("a", rec.path[-1],
                                   _dfa_state_after(m, rec.path),
-                                  rec.knowledge_final.suffix))
+                                  rec.knowledge_final))
             assert rec.cost == dist[final], (idx, "play is not a cheapest play")
 
         if m.fully_known:

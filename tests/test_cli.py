@@ -169,6 +169,20 @@ def test_bench_rejects_no_trials_and_an_empty_grid(extra, monkeypatch, capsys):
     assert configs == []
 
 
+@pytest.mark.parametrize("spec", ["0.5,1.5", "-0.1", "nan"])
+def test_bench_rejects_probabilities_outside_unit_interval(
+        spec, monkeypatch, capsys):
+    # checked when the configuration is made, before any model is drawn
+    drawn = []
+    monkeypatch.setattr(bench, "generate",
+                        lambda params: drawn.append(params))
+    assert main(["bench", "--states", "6", "--trials", "200",
+                 "--p", spec]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "[0, 1]" in err["message"]
+    assert drawn == []
+
+
 def test_solve_deterministic_bytes(t3_file, tmp_path, capsys):
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"
@@ -202,3 +216,9 @@ def test_exit_code_domain_error(tmp_path, capsys):
 def test_exit_code_missing_file(capsys):
     assert main(["solve", "/nonexistent/model.json", "--task", "F target"]) == 2
     capsys.readouterr()
+
+
+def test_every_public_name_resolves():
+    import regretplan
+    assert len(set(regretplan.__all__)) == len(regretplan.__all__)
+    assert [n for n in regretplan.__all__ if not hasattr(regretplan, n)] == []

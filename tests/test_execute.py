@@ -1,5 +1,7 @@
 """Strategy execution against hidden environments."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -11,13 +13,15 @@ from regretplan import solver as sv
 from regretplan.errors import (
     IncompatibleEnvironment,
     StrategyIncomplete,
+    StuckNoPath,
     TooManyUnknowns,
+    UnrealizableTask,
 )
 from regretplan.execute import regret_of, run
 from regretplan.formula import parse, to_dfa
 from test_arena import play_cost
 from test_model import check_history
-from test_solver import id_of
+from test_solver import case_study, id_of, random_models
 
 INF = math.inf
 
@@ -49,7 +53,7 @@ def test_regret_strategy_runs(t3, dfa, regret_strategy):
     rec = run(regret_strategy, t3, dfa, fixtures.t3_env_no())
     assert (rec.cost, rec.satisfied) == (12, True)
     assert rec.path == (0, 1, 0, 2, 3)
-    assert rec.knowledge_final.suffix == ((1, (0,)),)
+    assert rec.knowledge_final == ((1, (0,)),)
 
 
 def test_worst_strategy_runs(t3, dfa, worst_strategy):
@@ -160,3 +164,67 @@ def test_winning_strategies_satisfy_everywhere(t3, dfa, regret_strategy, worst_s
     for strategy in (regret_strategy, worst_strategy):
         for env in md.compatible_envs(t3):
             assert run(strategy, t3, dfa, env).satisfied
+
+
+def strategies_of(m, a):
+    """The regret, worst-case and optimistic strategies of one model, the
+    first two from one shared game; an unrealizable objective is left out."""
+    game = sv.QuotientGame(m, a)
+    out = []
+    for solve in (sv.solve_regret, sv.solve_worst_case):
+        try:
+            out.append(solve(m, a, game)[0])
+        except UnrealizableTask:
+            pass
+    return out + [sv.best_case_policy(m, a)]
+
+
+def test_run_records_pinned_on_case_study_and_t3(t3, dfa):
+    # every field of every record: the case study's 16 worlds and T3's two,
+    # under the regret, worst-case and optimistic strategies
+    digest = hashlib.sha256()
+    runs = 0
+    for m, a in (case_study(), (t3, dfa)):
+        strategies = strategies_of(m, a)
+        assert len(strategies) == 3
+        for env in md.compatible_envs(m):
+            for strategy in strategies:
+                try:
+                    text = json.dumps(run(strategy, m, a, env).to_json(),
+                                      sort_keys=True)
+                except StuckNoPath:
+                    text = "stuck"
+                digest.update(text.encode() + b"\n")
+                runs += 1
+    assert runs == 16 * 3 + 2 * 3
+    assert digest.hexdigest() == \
+        "6502f82c48afc6a097595a8b5a317f51494f4572e84f2efb396d895d7df694a8"
+
+
+def test_run_record_follows_history_and_automaton(dfa):
+    # the final knowledge is the first visit of each unknown state, in
+    # visiting order, and satisfaction is the automaton run over the
+    # path's labels; a strategy that stops at once covers unsatisfied runs
+    checked = unsatisfied = 0
+    for m in random_models():
+        q0 = dfa.step(dfa.initial, m.labels[m.initial])
+        halt = sv.PositionalStrategy(objective="worst", value=0,
+                                     decisions={(m.initial, q0, ()): None})
+        strategies = strategies_of(m, dfa) + [halt]
+        for env in md.compatible_envs(m):
+            for strategy in strategies:
+                try:
+                    rec = run(strategy, m, dfa, env)
+                except StuckNoPath:
+                    continue
+                first = {}
+                for x, o in rec.history:
+                    if len(m.patterns[x]) > 1:
+                        first.setdefault(x, o)
+                assert [x for x, _ in rec.history] == list(rec.path)
+                assert rec.knowledge_final == tuple(first.items())
+                assert rec.satisfied == dfa.accepts(
+                    [m.labels[x] for x in rec.path])
+                checked += 1
+                unsatisfied += not rec.satisfied
+    assert checked > 100 and unsatisfied > 0

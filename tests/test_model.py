@@ -1,4 +1,4 @@
-"""World-model operations: skeleton, knowledge, refinement, products, paths."""
+"""World-model operations: skeleton, refinement, products, paths."""
 
 import heapq
 import math
@@ -9,12 +9,7 @@ import pytest
 from regretplan import fixtures
 from regretplan import model as md
 from regretplan import solver as sv
-from regretplan.errors import (
-    AtomMismatch,
-    InconsistentKnowledge,
-    NegativeWeight,
-    TooManyUnknowns,
-)
+from regretplan.errors import AtomMismatch, NegativeWeight, TooManyUnknowns
 from regretplan.formula import parse, to_dfa
 
 INF = math.inf
@@ -67,68 +62,26 @@ def test_skeleton_union_of_overlapping_patterns():
 
 
 # ---------------------------------------------------------------------------
-# knowledge
-
-def test_initial_knowledge_orders_known_states(t3):
-    k0 = md.initial_knowledge(t3)
-    assert k0.base == ((0, (1, 2)), (2, (3,)), (3, (3,)))
-    assert k0.suffix == ()
-
-
-def test_initial_knowledge_fully_known_covers_everything():
-    m = fully_known_line()
-    k0 = md.initial_knowledge(m)
-    assert [x for x, _ in k0.items()] == [0, 1, 2]
-
-
-def test_update_appends_new_observation(t3):
-    k0 = md.initial_knowledge(t3)
-    k1 = md.update(k0, (1, (3,)))
-    assert k1.suffix == ((1, (3,)),)
-    assert k0.suffix == ()  # original untouched
-
-
-def test_update_is_identity_on_explored(t3):
-    k0 = md.initial_knowledge(t3)
-    k1 = md.update(k0, (1, (3,)))
-    assert md.update(k1, (1, (3,))) is k1
-    assert md.update(k1, (0, (1, 2))) is k1
-
-
-def test_update_rejects_conflict(t3):
-    k0 = md.initial_knowledge(t3)
-    k1 = md.update(k0, (1, (3,)))
-    with pytest.raises(InconsistentKnowledge):
-        md.update(k1, (1, (0,)))
-
-
-def test_knowledge_equality_ignores_base(t3):
-    k0 = md.initial_knowledge(t3)
-    other = md.KnowledgeSet((), ())
-    assert k0 == other  # same (empty) exploration suffix
-
-
-# ---------------------------------------------------------------------------
-# refine: the reference model of a knowledge record, read by the
+# refine: the reference model of an exploration suffix, read by the
 # optimistic-policy and best-response references in test_solver.py
 
-def refine(m, k):
-    """Pin explored states to their observed pattern."""
+def refine(m, suffix):
+    """Pin each explored state to the pattern it showed."""
+    observed = dict(suffix)
     patterns = tuple(
-        ((k.obs(x),) if k.explored(x) else m.patterns[x]) for x in range(m.n)
+        ((observed[x],) if x in observed else m.patterns[x]) for x in range(m.n)
     )
     return md.Pkwts(n=m.n, initial=m.initial, patterns=patterns,
                     weights=m.weights, labels=m.labels, coins=m.coins)
 
 
 def test_refine_with_initial_knowledge_is_identity(t3):
-    refined = refine(t3, md.initial_knowledge(t3))
+    refined = refine(t3, ())
     assert refined.patterns == t3.patterns
 
 
 def test_refine_resolves_unknown(t3):
-    k = md.update(md.initial_knowledge(t3), (1, (3,)))
-    refined = refine(t3, k)
+    refined = refine(t3, ((1, (3,)),))
     assert refined.patterns[1] == ((3,),)
     assert refined.fully_known
     assert md.is_compatible(fixtures.t3_env_yes(), refined)
@@ -136,15 +89,14 @@ def test_refine_resolves_unknown(t3):
 
 
 def test_refine_idempotent(t3):
-    k = md.update(md.initial_knowledge(t3), (1, (0,)))
-    once = refine(t3, k)
-    assert refine(once, k).patterns == once.patterns
+    suffix = ((1, (0,)),)
+    once = refine(t3, suffix)
+    assert refine(once, suffix).patterns == once.patterns
 
 
 def test_refine_commutes_with_knowledge_growth(t3):
-    k0 = md.initial_knowledge(t3)
-    k1 = md.update(k0, (1, (3,)))
-    assert refine(refine(t3, k0), k1).patterns == refine(t3, k1).patterns
+    suffix = ((1, (3,)),)
+    assert refine(refine(t3, ()), suffix).patterns == refine(t3, suffix).patterns
 
 
 # ---------------------------------------------------------------------------

@@ -68,19 +68,16 @@ def trap_model():
 # best response
 
 def test_best_response_initial_knowledge(t3, dfa):
-    k0 = md.initial_knowledge(t3)
-    assert sv.BestResponse(t3, dfa)(k0.suffix) == 2
+    assert sv.BestResponse(t3, dfa)(()) == 2
 
 
 def test_best_response_after_bad_news(t3, dfa):
-    k = md.update(md.initial_knowledge(t3), (1, (0,)))
-    assert sv.BestResponse(t3, dfa)(k.suffix) == 10
+    assert sv.BestResponse(t3, dfa)(SFX_NO) == 10
 
 
 def test_best_response_fully_known(dfa):
     m = fully_known_line()
-    k0 = md.initial_knowledge(m)
-    assert sv.BestResponse(m, dfa)(k0.suffix) == 5
+    assert sv.BestResponse(m, dfa)(()) == 5
 
 
 def test_best_response_stops_at_first_accepting_vertex(dfa):
@@ -500,7 +497,7 @@ def reference_online_decide(m, a, x, q, suffix):
     shortest path: the chain the policy once rebuilt at every step."""
     if q in a.accepting:
         return None
-    t = md.skeleton(refine(m, md.KnowledgeSet(md.initial_knowledge(m).base, suffix)))
+    t = md.skeleton(refine(m, suffix))
     lab = [a.letter_index(t.labels[y]) for y in range(t.n)]
     s0 = (t.initial, a.trans[a.initial][lab[t.initial]])
     adj, queue = {}, [s0]
@@ -645,7 +642,7 @@ def test_best_response_never_mixes_patterns_from_two_worlds():
     m = hub_model()
     dfa = to_dfa(parse("F a & F b"), {"a", "b"})
     assert md.shortest_satisfying_cost(md.skeleton(m), dfa) == 4
-    assert sv.BestResponse(m, dfa)(md.initial_knowledge(m).suffix) == INF
+    assert sv.BestResponse(m, dfa)(()) == INF
 
 
 def test_best_response_exact_beyond_4096_worlds():
@@ -670,15 +667,14 @@ def test_best_response_exact_beyond_4096_worlds():
     assert value == 0
     assert regret_of(strategy, m, dfa, cap=13) == 0
     hub = hub_model(extra=12)
-    assert sv.BestResponse(hub, dfa)(md.initial_knowledge(hub).suffix) == INF
+    assert sv.BestResponse(hub, dfa)(()) == INF
 
 
 def reference_best_response(m, a, suffix):
     """Enumerating reference for BestResponse: the cheapest satisfying
     cost over every completion of the refined model."""
-    k = md.KnowledgeSet(md.initial_knowledge(m).base, suffix)
     return min(md.shortest_satisfying_cost(t, a)
-               for t in md.compatible_envs(refine(m, k)))
+               for t in md.compatible_envs(refine(m, suffix)))
 
 
 def case_study():
