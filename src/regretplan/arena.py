@@ -167,15 +167,23 @@ def _finish(columns, suffixes, accepting, start, src, dst, wt) -> Arena:
 
 def _to_go(m: Pkwts, a: Dfa) -> list:
     """h at ``x * |Q| + q``: the cheapest cost from (x, q) to acceptance
-    in skeleton x automaton, INF where none, as at a dead q."""
-    top = m.n * a.n  # the search's source
-    back = {top: [(x * a.n + q, 0) for x in range(m.n) for q in a.accepting]}
-    for x, succ in enumerate(skeleton(m).successors):
-        for y in succ:
-            col, w = a.letter_index(m.labels[y]), m.weights[(x, y)]
-            for q in range(a.n):
-                back.setdefault(y * a.n + a.trans[q][col], []).append(
-                    (x * a.n + q, w))
+    in skeleton x automaton, INF where none, as at a dead q; one backward
+    search from the accepting pairs.  h is 0 at an accepting q and
+    consistent, h(x, q) <= w(x, y) + h(y, q') on every edge, so it bounds
+    the cost to acceptance in every world from below and is a feasible
+    potential for a search on any subgraph (``BestResponse``).  The
+    skeleton's successors are the unions of the patterns, whose weights
+    ``Pkwts`` has checked."""
+    nq, trans = a.n, a.trans
+    top = m.n * nq  # the search's source
+    lab = [a.letter_index(label) for label in m.labels]
+    back = {top: [(x * nq + q, 0) for x in range(m.n) for q in a.accepting]}
+    for x, family in enumerate(m.patterns):
+        for y in set().union(*family):
+            col, w = lab[y], m.weights[(x, y)]
+            for q in range(nq):
+                back.setdefault(y * nq + trans[q][col], []).append(
+                    (x * nq + q, w))
     h = [INF] * (top + 1)
     for u, d in dijkstra(back, top):
         h[u] = d
@@ -183,7 +191,7 @@ def _to_go(m: Pkwts, a: Dfa) -> list:
 
 
 def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
-                limit=INF) -> Arena:
+                limit=INF, h=None) -> Arena:
     """The order-free quotient the solvers play on, built from the start
     up to acceptance, a dead automaton state, or the cut at ``limit``.
 
@@ -205,9 +213,10 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
     Vertices are expanded in order of f = g + h (A*), ties by id: g is
     the cheapest cost of reaching the vertex and h (``_to_go``, w(x, xhat)
     + h(xhat) at an env vertex) a consistent lower bound on the cost to
-    acceptance.  The build stops at the first pop with f > ``limit``: a
-    vertex met but not expanded keeps an empty row and is not accepting.
-    At ``limit`` INF every vertex is expanded."""
+    acceptance; ``h`` is computed when not given.  The build stops at the
+    first pop with f > ``limit``: a vertex met but not expanded keeps an
+    empty row and is not accepting.  At ``limit`` INF every vertex is
+    expanded."""
     columns, lab, grow, add, agent = _vertices(m, a, cap)
     kind, xs, qs, sfxs, xhats = columns
     patterns, weights, trans = m.patterns, m.weights, a.trans
@@ -227,7 +236,7 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
                 tuple(sorted(suffixes[sid] + ((x, patterns[x][p]),))))
         return child
 
-    h, nq = _to_go(m, a), a.n
+    h, nq = _to_go(m, a) if h is None else h, a.n
     g = array("q")  # id -> cheapest cost found so far; < 0 once expanded
     heap = []
 

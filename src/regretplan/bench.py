@@ -197,6 +197,8 @@ class BenchConfig:
         bad = [p for p in self.p_values if not 0 <= p <= 1]
         if bad:
             raise ValueError(f"probabilities must lie in [0, 1], got {bad}")
+        for n in self.states:  # every state count meets GenParams' checks
+            replace(self.params, n_states=n)
 
 
 def _mix(*parts) -> int:

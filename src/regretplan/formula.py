@@ -374,6 +374,8 @@ class Dfa:
     # states from which no word reaches an accepting state: derived from
     # trans once per automaton, and not part of equality or the JSON form
     dead: frozenset = field(init=False, repr=False, compare=False)
+    # declared label -> its letter index, filled by ``letter_index``
+    indices: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # one backward search from the accepting states.  Set here rather
@@ -389,16 +391,18 @@ class Dfa:
                 live.add(p)
                 stack.append(p)
         object.__setattr__(self, "dead", frozenset(range(self.n)) - live)
+        object.__setattr__(self, "indices", {})
 
     def letter_index(self, letter) -> int:
-        idx = 0
         sigma = frozenset(letter)
-        for bit, name in enumerate(self.atoms):
-            if name in sigma:
-                idx |= 1 << bit
-        unknown = sigma - set(self.atoms)
-        if unknown:
-            raise AtomNotDeclared(f"letter uses undeclared atoms {sorted(unknown)}")
+        idx = self.indices.get(sigma)
+        if idx is None:
+            unknown = sigma - set(self.atoms)
+            if unknown:
+                raise AtomNotDeclared(
+                    f"letter uses undeclared atoms {sorted(unknown)}")
+            idx = self.indices[sigma] = sum(
+                1 << bit for bit, name in enumerate(self.atoms) if name in sigma)
         return idx
 
     def letters(self) -> list:

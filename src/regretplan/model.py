@@ -199,13 +199,19 @@ class Product:
         return u[1] in self.dfa.accepting
 
 
-def product(t: Wts, a: Dfa) -> Product:
-    model_atoms = set().union(*t.labels)
+def letters(labels, a: Dfa) -> tuple:
+    """The letter index of each state's label; AtomMismatch when a label
+    uses an atom the automaton does not declare."""
+    model_atoms = set().union(*labels)
     if not model_atoms <= set(a.atoms):
         raise AtomMismatch(
             f"model atoms {sorted(model_atoms)} not covered by automaton atoms "
             f"{list(a.atoms)}")
-    lab = tuple(a.letter_index(t.labels[x]) for x in range(t.n))
+    return tuple(map(a.letter_index, labels))
+
+
+def product(t: Wts, a: Dfa) -> Product:
+    lab = letters(t.labels, a)
     return Product(initial=(t.initial, a.trans[a.initial][lab[t.initial]]),
                    successors=t.successors, weights=t.weights, lab=lab, dfa=a)
 

@@ -42,12 +42,17 @@ Why this solves the regret game:
    without its moves, and has no edge into a live vertex: it is never a
    cheapest move and never ties, and cutting its moves changes no value,
    choice or tie-break of a live vertex.  The best-response search drops
-   dead vertices by the same argument.  The worlds consistent with
-   a row are the union, over the patterns of any one unexplored state,
-   of the worlds of the row that fixes it, so the row's best response is
-   the least of theirs.  The regret solve evaluates its seeds from the
-   most-observed row down, so most partly observed rows find those rows
-   memoized and need no search.
+   every vertex with h = INF (item 6), dead ones included: no world
+   reaches acceptance from it.  It runs on the reduced weights
+   w(x, y) + h(y, q') - h(x, q), which are nonnegative because h is
+   consistent; a path's reduced cost is its cost plus h at its end minus
+   h(v0), and h is 0 at acceptance, so the cheapest accepting vertex
+   settles first and its reduced distance plus h(v0) is the value.  The
+   worlds consistent with a row are the union, over the patterns of any
+   one unexplored state, of the worlds of the row that fixes it, so the
+   row's best response is the least of theirs.  The regret solve
+   evaluates its seeds from the most-observed row down, so most partly
+   observed rows find those rows memoized and need no search.
 5. Stopping the solve past the root's value is exact.  An agent's move
    pays a nonnegative weight and an env vertex takes the largest of its
    successors, so no vertex on a play of the root's strategy is valued
@@ -58,20 +63,22 @@ Why this solves the regret game:
    vertex is still INF: no move into an unsettled vertex ties with the
    value of a vertex the walk meets.  An INF root never stops the solve.
 6. Cutting the build at a limit is exact.  h(x, q), the cheapest cost to
-   acceptance in skeleton x automaton, bounds every world's, so a play
-   through v costs at least g(v) + h(v), g(v) being v's cheapest cost
-   from the start; h is consistent, so ``build_arena`` expands every
-   vertex with g + h <= limit.  U, the optimum of the intersection world
-   (each state keeps the successors all its patterns share), is at least
-   every world's optimum, so br(row) <= U for every row, and its path
-   wins blindly: worst <= U and regret <= U - br0 <= U - h(v0).  With
-   B = U, E = 0 (worst) or B = U - h(v0), E = U (regret), the limit is
-   B + E.  A vertex past the cut has no moves and is INF, so no value
-   falls.  If g(v) + value(v) <= B, every play of v's strategy, entered
-   along v's cheapest path, ends at a cost at most B plus its seed's
-   bound E, so the strategy is built and v's value is exact.  The walk
-   meets only such vertices, a move attaining the full value leads to
-   another, and any other move is valued higher: it picks the same moves.
+   acceptance in skeleton x automaton, found once per game by one
+   backward search (``arena._to_go``) that also gives h(v0), bounds
+   every world's, so a play through v costs at least g(v) + h(v), g(v)
+   being v's cheapest cost from the start; h is consistent, so
+   ``build_arena`` expands every vertex with g + h <= limit.  U, the
+   optimum of the intersection world (each state keeps the successors
+   all its patterns share), is at least every world's optimum, so
+   br(row) <= U for every row, and its path wins blindly: worst <= U
+   and regret <= U - br0 <= U - h(v0).  With B = U, E = 0 (worst) or
+   B = U - h(v0), E = U (regret), the limit is B + E.  A vertex past the
+   cut has no moves and is INF, so no value falls.  If g(v) + value(v)
+   <= B, every play of v's strategy, entered along v's cheapest path,
+   ends at a cost at most B plus its seed's bound E, so the strategy is
+   built and v's value is exact.  The walk meets only such vertices, a
+   move attaining the full value leads to another, and any other move is
+   valued higher: it picks the same moves.
 
 The paper's shortest-play reduction (charge cost minus best response on
 edges entering an accepting vertex, forbid edges on no cheapest play) is
@@ -88,7 +95,7 @@ import logging
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .arena import Arena, build_arena
+from .arena import Arena, _to_go, build_arena
 from .errors import (
     SolverInvariantError,
     StrategyIncomplete,
@@ -96,8 +103,8 @@ from .errors import (
     UnrealizableTask,
 )
 from .formula import Dfa
-from .model import (INF, Pkwts, dijkstra, product, satisfying_cost,
-                    shortest_path_to, skeleton)
+from .model import (INF, Pkwts, Product, dijkstra, letters, product,
+                    satisfying_cost, shortest_path_to, skeleton)
 
 log = logging.getLogger("regretplan.solver")
 
@@ -152,31 +159,36 @@ class BestResponse:
     or -1 until a path first leaves that state.  Leaving it branches over
     its patterns and fixes the pick, so every search path lives in one
     world, and each world's cheapest satisfying path is a search path.
-    Accepting vertices end a path, and the search stops at the first one
-    settled, the cheapest.  A vertex with a dead automaton state has no
-    successors: no path from it is satisfying.  The value depends on
-    which patterns were observed, not in what order, so the memo is keyed
-    by the order-free ``row``.
+    The search is A*: it runs on weights reduced by ``h`` (``_to_go``,
+    computed when not given), w(x, y) + h(y, q') - h(x, q) >= 0, and
+    skips a successor with h = INF, dead automaton states included, from
+    which no world accepts.  Accepting vertices end a path, and the
+    search stops at the first one settled, the cheapest; the value is its
+    reduced distance plus h(v0), and INF without a search when h(v0) is.
+    The value depends on which patterns were observed, not in what order,
+    so the memo is keyed by the order-free ``row``.
 
     A row's completions split by the pattern of any one unexplored state
     j, so its value is the least value of the rows that fix j.  Before it
     searches, a call looks for a j whose rows are all memoized and takes
     that least value instead.  It looks one level only: recursing over
     every completion would enumerate the worlds the lazy search avoids.
-    ``searches`` and ``derived`` count the two paths.
+    ``searches`` and ``derived`` count the two paths, and ``settled`` the
+    vertices the searches settle.
     """
 
-    def __init__(self, m: Pkwts, a: Dfa):
+    def __init__(self, m: Pkwts, a: Dfa, h=None):
         self.m = m
         self.a = a
         self.lab = [a.letter_index(m.labels[x]) for x in range(m.n)]
+        self.h = _to_go(m, a) if h is None else h
         unknown = m.unknown_states
         self.slot = {x: j for j, x in enumerate(unknown)}
         self.n_patterns = [len(m.patterns[x]) for x in unknown]
-        self.ends = a.accepting | a.dead
         self.memo = {}
         self.searches = 0
         self.derived = 0
+        self.settled = 0
 
     def __call__(self, suffix) -> object:
         row = [-1] * len(self.slot)
@@ -198,14 +210,22 @@ class BestResponse:
         self.searches += 1
         m, a = self.m, self.a
         q0 = a.trans[a.initial][self.lab[m.initial]]
-        search = dijkstra(self, (m.initial, q0, row))
-        return next((d for (_, q, _), d in search if q in a.accepting), INF)
+        h0 = self.h[m.initial * a.n + q0]
+        if h0 == INF:
+            return INF
+        for (_, q, _), d in dijkstra(self, (m.initial, q0, row)):
+            self.settled += 1
+            if q in a.accepting:
+                return d + h0
+        return INF
 
     def get(self, u, default=None):
-        """Search successors of ``u`` with their movement weights."""
+        """Search successors of ``u`` with their reduced weights."""
         x, q, row = u
-        if q in self.ends:
+        if q in self.a.accepting:
             return
+        h, nq, trans, weights = self.h, self.a.n, self.a.trans[q], self.m.weights
+        hu = h[x * nq + q]
         family, j = self.m.patterns[x], self.slot.get(x)
         if j is not None and row[j] < 0:
             picks = [(p, row[:j] + (i,) + row[j + 1:])
@@ -214,8 +234,10 @@ class BestResponse:
             picks = [(family[0 if j is None else row[j]], row)]
         for pattern, nrow in picks:
             for y in pattern:
-                succ = (y, self.a.trans[q][self.lab[y]], nrow)
-                yield succ, self.m.weights[(x, y)]
+                q2 = trans[self.lab[y]]
+                hv = h[y * nq + q2]
+                if hv < INF:
+                    yield (y, q2, nrow), weights[(x, y)] + hv - hu
 
 
 # ---------------------------------------------------------------------------
@@ -351,24 +373,29 @@ class QuotientGame:
         self.m = m
         self.a = a
         self._arena, self._limit = None, -INF
-        self._bounds = None
+        self._bounds = self._h = None
 
     def bounds(self) -> tuple:
         """(U, h(v0)): the cheapest satisfying cost in the intersection
         world, where each state keeps the successors common to all its
-        patterns, and in the skeleton."""
+        patterns, and in the skeleton, read from the build's h."""
         if self._bounds is None:
-            sk = product(skeleton(self.m), self.a)
+            m, a = self.m, self.a
+            lab = letters(m.labels, a)
+            self._h = _to_go(m, a)
+            q0 = a.trans[a.initial][lab[m.initial]]
             common = tuple(set.intersection(*map(set, family))
-                           for family in self.m.patterns)
-            self._bounds = (satisfying_cost(replace(sk, successors=common)),
-                            satisfying_cost(sk))
+                           for family in m.patterns)
+            world = Product(initial=(m.initial, q0), successors=common,
+                            weights=m.weights, lab=lab, dfa=a)
+            self._bounds = (satisfying_cost(world),
+                            self._h[m.initial * a.n + q0])
         return self._bounds
 
     def arena(self, limit) -> Arena:
         if self._limit < limit:
             self._arena = None  # free the smaller arena before the build
-            self._arena = build_arena(self.m, self.a, limit=limit)
+            self._arena = build_arena(self.m, self.a, limit=limit, h=self._h)
             self._limit = limit
         return self._arena
 
@@ -376,7 +403,7 @@ class QuotientGame:
         u, h0 = self.bounds()
         limit = 2 * u - h0 if u < INF else INF
         arena = self.arena(limit)
-        br = BestResponse(self.m, self.a)
+        br = BestResponse(self.m, self.a, self._h)
 
         def suffix(v):
             return arena.suffixes[arena.sfx[v]]
@@ -387,7 +414,8 @@ class QuotientGame:
         result = solve_minmax(arena, seeds.__getitem__)
         return _positional("regret", arena, result, u, limit,
                            f", {br.searches} best-response searches,"
-                           f" {br.derived} derived")
+                           f" {br.derived} derived, {br.settled} search"
+                           " vertices settled")
 
     def worst_case(self):
         u = self.bounds()[0]

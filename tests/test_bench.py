@@ -211,6 +211,15 @@ def test_run_benchmark_csv_golden_digest():
         "a9708f26d39486decae9d3f6b9077d07449b5800dc998de87596c8f90ddc642f"
 
 
+def test_bench_config_checks_every_state_count_at_construction():
+    # each state count meets GenParams' checks before any trial runs
+    with pytest.raises(ValueError, match="at least two states"):
+        bench.BenchConfig(states=(15, 1), p_values=(0.5,), trials=30)
+    with pytest.raises(ValueError, match="too many unknown states"):
+        bench.BenchConfig(states=(15, 5), p_values=(0.5,), trials=1,
+                          params=bench.GenParams(n_states=15, n_possible=10))
+
+
 def test_run_benchmark_single_trial_best_vs_worst():
     # with no obstacles, the optimist never pays more than the pessimist
     config = bench.BenchConfig(

@@ -190,6 +190,21 @@ def test_undeclared_atom_rejected():
         fm.to_dfa(fm.parse("F a"), {"b"})
 
 
+def test_letter_index_memo_keeps_errors_equality_and_json():
+    # the memo stores declared letters only, so an undeclared atom raises
+    # on every call, and a queried automaton is the value it was
+    dfa = fm.to_dfa(fm.parse("(!a U b) & F a"), {"a", "b"})
+    fresh = fm.to_dfa(fm.parse("(!a U b) & F a"), {"a", "b"})
+    for _ in range(2):
+        with pytest.raises(AtomNotDeclared):
+            dfa.letter_index({"a", "c"})
+    assert dfa.letter_index({"b"}) == dfa.letter_index(["b"]) == 2
+    assert dfa.step(dfa.initial, {"a", "b"}) == fresh.step(fresh.initial,
+                                                           {"a", "b"})
+    assert dfa == fresh and hash(dfa) == hash(fresh) and repr(dfa) == repr(fresh)
+    assert fm.dfa_to_json(dfa) == fm.dfa_to_json(fresh)
+
+
 def test_alphabet_cap():
     atoms = {f"a{i}" for i in range(9)}
     with pytest.raises(AlphabetTooLarge):

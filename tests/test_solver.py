@@ -759,7 +759,8 @@ def test_regret_debug_line_reports_best_response_paths(caplog):
     regret, worst = (r.getMessage() for r in caplog.records)
     assert regret.startswith(
         "regret game: U 22, limit 30, 2523 vertices, 5328 edges")
-    assert regret.endswith(", 19 best-response searches, 55 derived")
+    assert regret.endswith(", 19 best-response searches, 55 derived,"
+                           " 598 search vertices settled")
     assert worst.startswith("worst game: U 22, limit 22, 531 vertices")
     assert "best-response" not in worst
 
@@ -1084,6 +1085,31 @@ def test_regret_matches_oracle_on_multi_goal_tasks():
             reduction_off += shortest_play_regret(m, a)[0] != value
     assert checked >= 50
     assert reduction_off >= 1
+
+
+def test_to_go_is_a_consistent_potential(dfa):
+    # h is 0 at acceptance and h(u) <= w + h(v) on every skeleton x
+    # automaton edge, so the best-response search's reduced weights are
+    # nonnegative; h(v0) is the forward search's cheapest satisfying cost
+    cases = [(fixtures.t3(), dfa),
+             (gr.grid_compile(fixtures.FIG1_GRID),
+              to_dfa(parse(fixtures.FIG1_TASK), {"f"})), case_study()]
+    cases += [(m, dfa) for m in random_models()]
+    tasks = [to_dfa(parse(text), {"a", "b"}) for text in MULTI_GOAL_TASKS]
+    cases += [(m, a) for m in map(multi_goal_model, range(50, 80))
+              if m is not None for a in tasks]
+    assert len(cases) > 100
+    for m, a in cases:
+        h, sk = ar._to_go(m, a), md.skeleton(m)
+        for x in range(m.n):
+            for q in range(a.n):
+                if q in a.accepting:
+                    assert h[x * a.n + q] == 0, (m, x, q)
+                for y in sk.successors[x]:
+                    v = y * a.n + a.step(q, m.labels[y])
+                    assert h[x * a.n + q] <= m.weights[(x, y)] + h[v], (m, x, q)
+        assert sv.QuotientGame(m, a).bounds()[1] == md.satisfying_cost(
+            md.product(sk, a)), m
 
 
 def test_dead_state_cut_keeps_every_decision():
