@@ -31,7 +31,7 @@ from itertools import accumulate
 
 from .errors import ArenaTooLarge
 from .formula import Dfa
-from .model import INF, Pkwts, dijkstra, skeleton
+from .model import INF, Pkwts, dijkstra, letters, skeleton
 
 DEFAULT_VERTEX_CAP = 5_000_000
 
@@ -138,7 +138,7 @@ def _vertices(m: Pkwts, a: Dfa, cap: int):
             vid = agent_ids[key] = add(0, x, q, sid, -1)
         return vid
 
-    lab = [a.letter_index(m.labels[x]) for x in range(m.n)]
+    lab = letters(m.labels, a)
     agent(m.initial, a.trans[a.initial][lab[m.initial]], 0)
     return (kind, xs, qs, sfxs, xhats), lab, grow, add, agent
 
@@ -176,7 +176,7 @@ def _to_go(m: Pkwts, a: Dfa) -> list:
     ``Pkwts`` has checked."""
     nq, trans = a.n, a.trans
     top = m.n * nq  # the search's source
-    lab = [a.letter_index(label) for label in m.labels]
+    lab = letters(m.labels, a)
     back = {top: [(x * nq + q, 0) for x in range(m.n) for q in a.accepting]}
     for x, family in enumerate(m.patterns):
         for y in set().union(*family):

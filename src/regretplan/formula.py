@@ -2,14 +2,18 @@
 
 Surface syntax: ``true``, atoms over ``[a-z0-9_]``, ``!`` (atoms only),
 ``&``, ``|``, ``X`` (next), ``U`` (until, right-associative), ``F``
-(eventually), parentheses.  Precedence: unary > U > & > |.
+(eventually), parentheses.  Precedence: unary > U > & > |.  Either
+operand of ``U`` may be any task.
 
 Translation goes residual-by-residual: reading a letter rewrites the
-formula to the obligation that remains, with eager boolean
-simplification.  The reachable residuals form a deterministic automaton
-which is then Hopcroft-minimized.  A word is accepted exactly when every
-infinite continuation would discharge the remaining obligation, so
-accepting states are closed under all transitions.
+formula to the obligation that remains.  Every residual is kept in one
+normal form, a disjunction of conjunctions with no conjunction implied
+by another, over the literals and temporal subformulas of the task, so
+there are finitely many.  The reachable residuals form a deterministic
+automaton, which Moore refinement minimizes and which is numbered
+breadth-first.  A word is accepted exactly when every infinite
+continuation would discharge the remaining obligation, so accepting
+states are closed under all transitions.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ class Until(Formula):
 
 @dataclass(frozen=True, repr=False)
 class Eventually(Formula):
-    """Sugar for Until(true, arg); expanded before translation."""
+    """Until(true, arg), progressed directly."""
 
     arg: Formula
 
@@ -235,55 +239,77 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse task text into a formula tree; sugar is kept as written."""
+    """Parse task text into a formula tree, kept as written."""
     parser = _Parser(_tokenize(text))
-    f = parser.parse_or()
+    try:
+        f = parser.parse_or()
+    except RecursionError:
+        raise FormulaSyntaxError(
+            "formula nests too deeply to parse; flatten its parentheses or "
+            "X chains") from None
     if parser.peek() is not None:
         raise FormulaSyntaxError(f"trailing input starting at token {parser.peek()!r}")
     return f
 
 
 # ---------------------------------------------------------------------------
-# residual construction with eager simplification
+# residuals in disjunctive normal form
 
 def _key(f: Formula) -> str:
     return str(f)
 
 
+def _clauses(f: Formula) -> list:
+    """The disjuncts of a normal-form formula, each a dict from conjunct
+    key to conjunct."""
+    return [{_key(p): p for p in (d.args if isinstance(d, And) else (d,))}
+            for d in (f.args if isinstance(f, Or) else (f,))]
+
+
+def _dnf(clauses: list) -> Formula:
+    """The disjunction of ``_clauses``-style clauses, without any clause
+    whose conjuncts strictly contain another clause's (absorption)."""
+    sets = {frozenset(c): c for c in clauses}
+    out = []
+    for c in sorted((c for s, c in sets.items() if not any(t < s for t in sets)),
+                    key=sorted):
+        args = tuple(c[k] for k in sorted(c))
+        out.append(TRUE if not args else args[0] if len(args) == 1 else And(args))
+    return out[0] if len(out) == 1 else Or(tuple(out))
+
+
 def conj(items: Iterable[Formula]) -> Formula:
-    flat: dict = {}
+    """Conjunction of normal-form items, distributed over their
+    disjunctions."""
+    parts = []
     for it in items:
         if isinstance(it, FalseF):
             return FALSE
-        if isinstance(it, TrueF):
-            continue
-        parts = it.args if isinstance(it, And) else (it,)
-        for p in parts:
-            flat[_key(p)] = p
-    if not flat:
-        return TRUE
-    args = tuple(flat[k] for k in sorted(flat))
-    return args[0] if len(args) == 1 else And(args)
+        if not isinstance(it, TrueF):
+            parts.append(it)
+    if len(parts) < 2:
+        return parts[0] if parts else TRUE
+    clauses = [{}]
+    for it in parts:
+        clauses = [{**c, **d} for c in clauses for d in _clauses(it)]
+    return _dnf(clauses)
 
 
 def disj(items: Iterable[Formula]) -> Formula:
-    flat: dict = {}
+    """Disjunction of normal-form items in the normal form."""
+    parts = []
     for it in items:
         if isinstance(it, TrueF):
             return TRUE
-        if isinstance(it, FalseF):
-            continue
-        parts = it.args if isinstance(it, Or) else (it,)
-        for p in parts:
-            flat[_key(p)] = p
-    if not flat:
-        return FALSE
-    args = tuple(flat[k] for k in sorted(flat))
-    return args[0] if len(args) == 1 else Or(args)
+        if not isinstance(it, FalseF):
+            parts.append(it)
+    if len(parts) < 2:
+        return parts[0] if parts else FALSE
+    return _dnf([c for it in parts for c in _clauses(it)])
 
 
 def canonical(f: Formula) -> Formula:
-    """Rebuild a formula through the simplifying constructors."""
+    """Rebuild a formula in the residual normal form."""
     if isinstance(f, (TrueF, FalseF, Atom, Not)):
         return f
     if isinstance(f, Next):
@@ -297,33 +323,20 @@ def canonical(f: Formula) -> Formula:
     return disj(canonical(a) for a in f.args)
 
 
-def expand_sugar(f: Formula) -> Formula:
-    """Rewrite every Eventually(p) into Until(true, p)."""
-    if isinstance(f, (TrueF, FalseF, Atom, Not)):
-        return f
-    if isinstance(f, Next):
-        return Next(expand_sugar(f.arg))
-    if isinstance(f, Eventually):
-        return Until(TRUE, expand_sugar(f.arg))
-    if isinstance(f, Until):
-        return Until(expand_sugar(f.left), expand_sugar(f.right))
-    if isinstance(f, And):
-        return And(tuple(expand_sugar(a) for a in f.args))
-    return Or(tuple(expand_sugar(a) for a in f.args))
-
-
 def progress(f: Formula, letter) -> Formula:
-    """Residual obligation after reading one letter (a set of atoms).
+    """Residual obligation after reading one letter (a set of atoms), in
+    the normal form: a disjunction of conjunctions of literals and
+    temporal subformulas of ``f``, none implied by another.
 
     Iterating progression over a word and landing on syntactic ``true``
     certifies the word as a good prefix; the converse direction is
     checked against reference automata in the test-suite.
     """
-    sigma = frozenset(letter)
-    return _progress(f, sigma)
+    return _progress(canonical(f), frozenset(letter))
 
 
 def _progress(f: Formula, sigma: Letter) -> Formula:
+    """``progress`` of a formula already in the normal form."""
     if isinstance(f, (TrueF, FalseF)):
         return f
     if isinstance(f, Atom):
@@ -335,13 +348,11 @@ def _progress(f: Formula, sigma: Letter) -> Formula:
     if isinstance(f, Or):
         return disj(_progress(a, sigma) for a in f.args)
     if isinstance(f, Next):
-        return canonical(f.arg)
+        return f.arg
     if isinstance(f, Until):
-        hold = _progress(f.left, sigma)
-        goal = _progress(f.right, sigma)
-        return disj([goal, conj([hold, Until(canonical(f.left), canonical(f.right))])])
+        return disj([_progress(f.right, sigma), conj([_progress(f.left, sigma), f])])
     if isinstance(f, Eventually):
-        return disj([_progress(f.arg, sigma), Eventually(canonical(f.arg))])
+        return disj([_progress(f.arg, sigma), f])
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -349,7 +360,7 @@ def good_prefix_by_progression(f: Formula, word: Iterable) -> bool:
     """Progression oracle: True residual after the whole word."""
     cur = canonical(f)
     for letter in word:
-        cur = progress(cur, letter)
+        cur = _progress(cur, frozenset(letter))
     return isinstance(cur, TrueF)
 
 
@@ -425,7 +436,14 @@ class Dfa:
 
 
 def to_dfa(f: Formula, atoms: Iterable) -> Dfa:
-    """Translate a task formula into the minimal good-prefix DFA."""
+    """Translate a task formula into the minimal good-prefix DFA.
+
+    The states are the reachable residuals, finitely many because each
+    is in the normal form of ``progress``.  Moore refinement merges the
+    equivalent ones, and the blocks are numbered breadth-first from the
+    initial one, taking letters in index order, which makes the result
+    canonical: equal languages give equal automata.
+    """
     atom_tuple = tuple(sorted(set(atoms)))
     if len(atom_tuple) > MAX_ATOMS:
         raise AlphabetTooLarge(f"{len(atom_tuple)} atoms exceeds cap of {MAX_ATOMS}")
@@ -438,35 +456,40 @@ def to_dfa(f: Formula, atoms: Iterable) -> Dfa:
         for idx in range(1 << len(atom_tuple))
     ]
 
-    root = canonical(expand_sugar(f))
+    root = canonical(f)
     states = {_key(root): 0}
     residuals = [root]
     trans: list = []
-    queue = [root]
-    while queue:
-        cur = queue.pop(0)
+    for cur in residuals:  # grows while it is read
         row = []
         for letter in letters:
             nxt = _progress(cur, letter)
-            k = _key(nxt)
-            if k not in states:
-                states[k] = len(residuals)
+            q = states.setdefault(_key(nxt), len(residuals))
+            if q == len(residuals):
                 residuals.append(nxt)
-                queue.append(nxt)
-            row.append(states[k])
+            row.append(q)
         trans.append(row)
 
     accepting = _inevitable_true(residuals, trans)
-    merged_n, merged_initial, merged_acc, merged_trans = _hopcroft(
-        len(residuals), 0, accepting, trans
-    )
-    n, initial, acc, tr = _renumber_bfs(merged_n, merged_initial, merged_acc, merged_trans)
+    block, n = _moore(accepting, trans)
+    succ = {block[q]: [block[t] for t in row] for q, row in enumerate(trans)}
+    order = {block[0]: 0}
+    queue = [block[0]]
+    for b in queue:  # grows while it is read
+        for t in succ[b]:
+            if t not in order:
+                order[t] = len(order)
+                queue.append(t)
+    if len(order) != n:  # every residual is reachable, so every block is
+        raise SolverInvariantError("quotient automaton has unreachable states")
+    tr = tuple(tuple(order[t] for t in succ[b]) for b in queue)
+    acc = frozenset(order[block[q]] for q in accepting)
 
     for q in acc:
         for target in tr[q]:
             if target not in acc:
                 raise SolverInvariantError("accepting states must be absorbing")
-    return Dfa(atoms=atom_tuple, n=n, initial=initial, accepting=frozenset(acc), trans=tr)
+    return Dfa(atoms=atom_tuple, n=n, initial=0, accepting=acc, trans=tr)
 
 
 def _inevitable_true(residuals: list, trans: list) -> set:
@@ -488,81 +511,19 @@ def _inevitable_true(residuals: list, trans: list) -> set:
     return settled
 
 
-def _hopcroft(n: int, initial: int, accepting: set, trans: list):
-    """Partition-refine states; returns the quotient automaton."""
-    k = len(trans[0]) if trans else 1
-    inverse: list = [[[] for _ in range(n)] for _ in range(k)]
-    for q in range(n):
-        for a in range(k):
-            inverse[a][trans[q][a]].append(q)
-
-    acc = frozenset(accepting)
-    rest = frozenset(range(n)) - acc
-    partition = {b for b in (acc, rest) if b}
-    work = set()
-    if acc and rest:
-        work.add(acc if len(acc) <= len(rest) else rest)
-
-    block_of = {}
-    for block in partition:
-        for q in block:
-            block_of[q] = block
-
-    while work:
-        splitter = work.pop()
-        for a in range(k):
-            affected: dict = {}
-            for target in splitter:
-                for q in inverse[a][target]:
-                    blk = block_of[q]
-                    affected.setdefault(id(blk), (blk, set()))[1].add(q)
-            for _, (blk, overlap) in affected.items():
-                if len(overlap) == len(blk):
-                    continue
-                part1 = frozenset(overlap)
-                part2 = blk - part1
-                partition.remove(blk)
-                partition.add(part1)
-                partition.add(part2)
-                for q in part1:
-                    block_of[q] = part1
-                for q in part2:
-                    block_of[q] = part2
-                if blk in work:
-                    work.remove(blk)
-                    work.add(part1)
-                    work.add(part2)
-                else:
-                    work.add(part1 if len(part1) <= len(part2) else part2)
-
-    blocks = sorted(partition, key=lambda b: min(b))
-    index = {id(b): i for i, b in enumerate(blocks)}
-    new_trans = []
-    for b in blocks:
-        q = min(b)
-        new_trans.append([index[id(block_of[trans[q][a]])] for a in range(k)])
-    new_initial = index[id(block_of[initial])]
-    new_acc = {index[id(block_of[q])] for q in accepting}
-    return len(blocks), new_initial, new_acc, new_trans
-
-
-def _renumber_bfs(n: int, initial: int, accepting: set, trans: list):
-    """Relabel states in breadth-first discovery order from the initial."""
-    order = {initial: 0}
-    queue = [initial]
-    while queue:
-        q = queue.pop(0)
-        for target in trans[q]:
-            if target not in order:
-                order[target] = len(order)
-                queue.append(target)
-    if len(order) != n:  # minimization already dropped unreachables
-        raise SolverInvariantError("quotient automaton has unreachable states")
-    k = len(trans[0]) if trans else 1
-    new_trans: list = [None] * n
-    for q, new_q in order.items():
-        new_trans[new_q] = tuple(order[trans[q][a]] for a in range(k))
-    return n, 0, {order[q] for q in accepting}, tuple(new_trans)
+def _moore(accepting: set, trans: list):
+    """Moore refinement: from accepting / rejecting, split blocks by each
+    state's block and its successors' blocks until the number of blocks
+    stops changing.  Returns each state's block and the block count."""
+    block = [int(q in accepting) for q in range(len(trans))]
+    n = len(set(block))
+    while True:
+        sig: dict = {}
+        block = [sig.setdefault((block[q], *(block[t] for t in row)), len(sig))
+                 for q, row in enumerate(trans)]
+        if len(sig) == n:
+            return block, n
+        n = len(sig)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import AtomMismatch, NegativeWeight, TooManyUnknowns
+from .errors import AtomMismatch, AtomNotDeclared, NegativeWeight, TooManyUnknowns
 from .formula import Dfa
 
 INF = math.inf
@@ -202,12 +202,12 @@ class Product:
 def letters(labels, a: Dfa) -> tuple:
     """The letter index of each state's label; AtomMismatch when a label
     uses an atom the automaton does not declare."""
-    model_atoms = set().union(*labels)
-    if not model_atoms <= set(a.atoms):
+    try:
+        return tuple(map(a.letter_index, labels))
+    except AtomNotDeclared:
         raise AtomMismatch(
-            f"model atoms {sorted(model_atoms)} not covered by automaton atoms "
-            f"{list(a.atoms)}")
-    return tuple(map(a.letter_index, labels))
+            f"model atoms {sorted(set().union(*labels))} not covered by "
+            f"automaton atoms {list(a.atoms)}") from None
 
 
 def product(t: Wts, a: Dfa) -> Product:

@@ -180,7 +180,7 @@ class BestResponse:
     def __init__(self, m: Pkwts, a: Dfa, h=None):
         self.m = m
         self.a = a
-        self.lab = [a.letter_index(m.labels[x]) for x in range(m.n)]
+        self.lab = letters(m.labels, a)
         self.h = _to_go(m, a) if h is None else h
         unknown = m.unknown_states
         self.slot = {x: j for j, x in enumerate(unknown)}

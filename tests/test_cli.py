@@ -36,6 +36,22 @@ def test_compile_writes_dfa(tmp_path, capsys):
     assert len(data["transitions"]) == 4  # exhaustive over 2 letters x 2 states
 
 
+def test_compile_temporal_until_operands(capsys):
+    # the same language as F b, so the same automaton over the same atoms
+    assert main(["compile", "(F c) U (F b)"]) == 0
+    got = capsys.readouterr().out
+    assert main(["compile", "F b", "--atoms", "b,c"]) == 0
+    assert got == capsys.readouterr().out
+
+
+def test_compile_rejects_deep_nesting(capsys):
+    for text in ("(" * 5000 + "a" + ")" * 5000, "X " * 5000 + "a"):
+        assert main(["compile", text]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormulaSyntaxError"
+        assert "nests too deeply" in err["message"]
+
+
 def test_solve_prints_value_and_writes_strategy(t3_file, tmp_path, capsys):
     out = tmp_path / "strategy.json"
     assert main(["solve", t3_file, "--task", "F target", "-o", str(out)]) == 0

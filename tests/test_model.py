@@ -9,6 +9,7 @@ import pytest
 from regretplan import fixtures
 from regretplan import model as md
 from regretplan import solver as sv
+from regretplan.arena import build_arena, build_ordered_arena
 from regretplan.errors import AtomMismatch, NegativeWeight, TooManyUnknowns
 from regretplan.formula import parse, to_dfa
 
@@ -168,6 +169,10 @@ def test_product_rejects_atom_mismatch(target_dfa):
     # the optimistic policy builds its product once, when it is made
     with pytest.raises(AtomMismatch):
         sv.best_case_policy(m.to_pkwts(), target_dfa)
+    # the arena builds and the best response index the labels the same way
+    for build in (build_arena, build_ordered_arena, sv.BestResponse):
+        with pytest.raises(AtomMismatch):
+            build(m.to_pkwts(), target_dfa)
 
 
 def test_product_path_acceptance_matches_dfa(target_dfa):
