@@ -104,12 +104,12 @@ class Arena:
         return zip(self.src, self.dst, self.wt)
 
 
-def _vertices(m: Pkwts, a: Dfa, cap: int):
-    """Vertex columns holding the start vertex, the letter index of each
-    state, and the closures that extend the columns: ``grow`` counts one
-    vertex against ``cap`` (ArenaTooLarge), ``add`` appends a vertex and
-    returns its id, and ``agent`` looks an agent vertex up by one integer
-    key, adding it when new."""
+def _vertices(m: Pkwts, a: Dfa, cap: int, lab: tuple):
+    """Vertex columns holding the start vertex, and the closures that
+    extend them: ``grow`` counts one vertex against ``cap``
+    (ArenaTooLarge), ``add`` appends a vertex and returns its id, and
+    ``agent`` looks an agent vertex up by one integer key, adding it when
+    new.  ``lab`` is the letter index of each state."""
     kind = bytearray()
     xs, qs, sfxs, xhats = array("i"), array("i"), array("i"), array("i")
     agent_ids = {}  # (sfx * |Q| + q) * |X| + x -> agent vertex id
@@ -138,9 +138,8 @@ def _vertices(m: Pkwts, a: Dfa, cap: int):
             vid = agent_ids[key] = add(0, x, q, sid, -1)
         return vid
 
-    lab = letters(m.labels, a)
     agent(m.initial, a.trans[a.initial][lab[m.initial]], 0)
-    return (kind, xs, qs, sfxs, xhats), lab, grow, add, agent
+    return (kind, xs, qs, sfxs, xhats), grow, add, agent
 
 
 def _finish(columns, suffixes, accepting, start, src, dst, wt) -> Arena:
@@ -165,7 +164,7 @@ def _finish(columns, suffixes, accepting, start, src, dst, wt) -> Arena:
     )
 
 
-def _to_go(m: Pkwts, a: Dfa) -> list:
+def _to_go(m: Pkwts, a: Dfa, lab: tuple) -> list:
     """h at ``x * |Q| + q``: the cheapest cost from (x, q) to acceptance
     in skeleton x automaton, INF where none, as at a dead q; one backward
     search from the accepting pairs.  h is 0 at an accepting q and
@@ -173,10 +172,9 @@ def _to_go(m: Pkwts, a: Dfa) -> list:
     the cost to acceptance in every world from below and is a feasible
     potential for a search on any subgraph (``BestResponse``).  The
     skeleton's successors are the unions of the patterns, whose weights
-    ``Pkwts`` has checked."""
+    ``Pkwts`` has checked; ``lab`` is the letter index of each state."""
     nq, trans = a.n, a.trans
     top = m.n * nq  # the search's source
-    lab = letters(m.labels, a)
     back = {top: [(x * nq + q, 0) for x in range(m.n) for q in a.accepting]}
     for x, family in enumerate(m.patterns):
         for y in set().union(*family):
@@ -191,9 +189,10 @@ def _to_go(m: Pkwts, a: Dfa) -> list:
 
 
 def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
-                limit=INF, h=None) -> Arena:
+                limit=INF) -> Arena:
     """The order-free quotient the solvers play on, built from the start
-    up to acceptance, a dead automaton state, or the cut at ``limit``.
+    up to acceptance, a dead automaton state, or the cut at ``limit``: a
+    new ``CutBuild`` extended once.
 
     Knowledge is keyed by its observed-pattern row: a vertex is (x, q,
     row), the suffix of an id lists the row's observations in ascending
@@ -213,11 +212,48 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
     Vertices are expanded in order of f = g + h (A*), ties by id: g is
     the cheapest cost of reaching the vertex and h (``_to_go``, w(x, xhat)
     + h(xhat) at an env vertex) a consistent lower bound on the cost to
-    acceptance; ``h`` is computed when not given.  The build stops at the
-    first pop with f > ``limit``: a vertex met but not expanded keeps an
-    empty row and is not accepting.  At ``limit`` INF every vertex is
-    expanded."""
-    columns, lab, grow, add, agent = _vertices(m, a, cap)
+    acceptance.  The build expands every vertex with f <= ``limit`` and
+    no other: a vertex met but not expanded keeps an empty row and is not
+    accepting.  At ``limit`` INF every vertex is expanded."""
+    return CutBuild(m, a, cap).extend(limit)
+
+
+class CutBuild:
+    """One quotient build (``build_arena``), resumable at a higher limit.
+
+    It computes the letter index ``lab`` and h (``_to_go``) once, and
+    keeps its heap, g, vertex columns, suffix rows and pop-order rows
+    between calls.  ``extend(limit)`` pops only while the heap's least f
+    is at most ``limit``, so a build extended through increasing limits
+    expands the vertices of one fresh build at the last limit, in the
+    same order: A* pops f in nondecreasing order, h being consistent, and
+    vertex ids are stable.  It returns ``arena``, the rows expanded so
+    far gathered into id order, as a snapshot later calls leave intact; a
+    call that expands nothing returns the previous arena.  ``next_f`` is
+    the least f of a vertex not yet expanded, None once every vertex
+    is."""
+
+    def __init__(self, m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP):
+        self.lab = letters(m.labels, a)
+        self.h = _to_go(m, a, self.lab)
+        self.arena = None
+        self._rounds = _rounds(m, a, cap, self.lab, self.h)
+        self.next_f = next(self._rounds)
+
+    def extend(self, limit) -> Arena:
+        if self.arena is None or (self.next_f is not None
+                                  and self.next_f <= limit):
+            self.arena = None  # free the previous snapshot before the gather
+            self.arena, self.next_f = self._rounds.send(limit)
+        return self.arena
+
+
+def _rounds(m, a, cap, lab, h):
+    """``CutBuild``'s state, as a generator that yields the least f in
+    the heap, then, sent each round's limit, that round's arena and the
+    least f left."""
+    nq = a.n
+    columns, grow, add, agent = _vertices(m, a, cap, lab)
     kind, xs, qs, sfxs, xhats = columns
     patterns, weights, trans = m.patterns, m.weights, a.trans
     rows = [array("i", [0 if len(p) == 1 else -1 for p in patterns])]
@@ -236,7 +272,6 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
                 tuple(sorted(suffixes[sid] + ((x, patterns[x][p]),))))
         return child
 
-    h, nq = _to_go(m, a) if h is None else h, a.n
     g = array("q")  # id -> cheapest cost found so far; < 0 once expanded
     heap = []
 
@@ -250,45 +285,60 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
         heappush(heap, (f, v))
 
     reach(0, 0, h[xs[0] * nq + qs[0]])
-    ends = a.accepting | a.dead
+    accepts, dead = a.accepting, a.dead
+    accepting = []  # expanded agent vertices with accepting q
     src, dst, wt = array("i"), array("i"), []  # rows in pop order
-    while heap:
-        f, u = heappop(heap)
-        if f > limit:
-            break
-        d = g[u]
-        if d < 0:  # expanded at a lower f
-            continue
-        g[u] = ~len(dst)  # expanded: ~g[u] is its first slot in pop order
-        x, q, sid = xs[u], qs[u], sfxs[u]
-        row = rows[sid]
-        if kind[u]:  # a committed move that reveals xhat's pattern
-            xhat = xhats[u]
-            q2 = trans[q][lab[xhat]]
-            w = weights[(x, xhat)]
-            fv = d + w + h[xhat * nq + q2]
-            for v in sorted([agent(xhat, q2, explore(sid, xhat, p))
-                             for p in range(len(patterns[xhat]))]):
-                reach(v, d + w, fv)
-                src.append(u)
-                dst.append(v)
-                wt.append(w)
-        elif q not in ends:  # the payoff is fixed at an accepting or dead q
-            for xhat in patterns[x][row[x]]:
+    limit = yield heap[0][0]
+    while True:
+        while heap and heap[0][0] <= limit:
+            u = heappop(heap)[1]
+            d = g[u]
+            if d < 0:  # expanded at a lower f
+                continue
+            g[u] = ~len(dst)  # expanded: ~g[u] is its first pop-order slot
+            x, q, sid = xs[u], qs[u], sfxs[u]
+            row = rows[sid]
+            if kind[u]:  # a committed move that reveals xhat's pattern
+                xhat = xhats[u]
                 q2 = trans[q][lab[xhat]]
                 w = weights[(x, xhat)]
                 fv = d + w + h[xhat * nq + q2]
-                if row[xhat] >= 0:
-                    grow()  # the env vertex this edge contracts
-                    v = agent(xhat, q2, sid)
+                for v in sorted([agent(xhat, q2, explore(sid, xhat, p))
+                                 for p in range(len(patterns[xhat]))]):
                     reach(v, d + w, fv)
-                else:
-                    v, w = add(1, x, q, sid, xhat), 0
-                    reach(v, d, fv)
-                src.append(u)
-                dst.append(v)
-                wt.append(w)
+                    src.append(u)
+                    dst.append(v)
+                    wt.append(w)
+            elif q in accepts:  # the payoff is fixed at acceptance
+                accepting.append(u)
+            elif q not in dead:  # and a dead q loses in every world
+                for xhat in patterns[x][row[x]]:
+                    q2 = trans[q][lab[xhat]]
+                    w = weights[(x, xhat)]
+                    fv = d + w + h[xhat * nq + q2]
+                    if row[xhat] >= 0:
+                        grow()  # the env vertex this edge contracts
+                        v = agent(xhat, q2, sid)
+                        reach(v, d + w, fv)
+                    else:
+                        v, w = add(1, x, q, sid, xhat), 0
+                        reach(v, d, fv)
+                    src.append(u)
+                    dst.append(v)
+                    wt.append(w)
+        while heap and g[heap[0][1]] < 0:  # entries of expanded vertices
+            heappop(heap)
+        # the arena gets copies of the columns while the build can grow them
+        kept = [c[:] for c in columns] if heap else columns
+        limit = yield (_gather(kept, suffixes, sorted(accepting), g,
+                               src, dst, wt),
+                       heap[0][0] if heap else None)
 
+
+def _gather(columns, suffixes, accepting, g, src, dst, wt) -> Arena:
+    """The arena of a build's rows, from pop order into id order; ``~g[u]``
+    is the first pop-order slot of an expanded vertex u."""
+    kind = columns[0]
     degree = [0] * len(kind)
     for u in src:
         degree[u] += 1
@@ -297,8 +347,6 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
         if k:
             slots.extend(range(~g[u], ~g[u] + k))
     start = array("i", accumulate(degree, initial=0))
-    accepting = [v for v in range(len(kind))
-                 if g[v] < 0 and not kind[v] and qs[v] in a.accepting]
     return _finish(columns, suffixes, accepting, start,
                    array("i", map(src.__getitem__, slots)),
                    array("i", map(dst.__getitem__, slots)),
@@ -311,7 +359,8 @@ def build_ordered_arena(m: Pkwts, a: Dfa,
     with knowledge in order of exploration: suffixes are interned in a
     trie keyed by (parent id, state, pattern index).  ``cap`` bounds the
     vertex count."""
-    columns, lab, _, add, agent = _vertices(m, a, cap)
+    lab = letters(m.labels, a)
+    columns, _, add, agent = _vertices(m, a, cap, lab)
     kind, xs, qs, sfxs, xhats = columns
     patterns, weights, trans = m.patterns, m.weights, a.trans
     rows = [array("i", [0 if len(p) == 1 else -1 for p in patterns])]

@@ -356,14 +356,6 @@ def _progress(f: Formula, sigma: Letter) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def good_prefix_by_progression(f: Formula, word: Iterable) -> bool:
-    """Progression oracle: True residual after the whole word."""
-    cur = canonical(f)
-    for letter in word:
-        cur = _progress(cur, frozenset(letter))
-    return isinstance(cur, TrueF)
-
-
 # ---------------------------------------------------------------------------
 # deterministic automaton over 2^atoms
 
@@ -424,15 +416,6 @@ class Dfa:
 
     def step(self, q: int, letter) -> int:
         return self.trans[q][self.letter_index(letter)]
-
-    def run(self, word: Iterable) -> int:
-        q = self.initial
-        for letter in word:
-            q = self.step(q, letter)
-        return q
-
-    def accepts(self, word: Iterable) -> bool:
-        return self.run(word) in self.accepting
 
 
 def to_dfa(f: Formula, atoms: Iterable) -> Dfa:

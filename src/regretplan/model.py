@@ -66,15 +66,6 @@ class Wts:
     def atoms(self):
         return tuple(sorted(frozenset().union(*self.labels)))
 
-    def to_pkwts(self) -> "Pkwts":
-        return Pkwts(
-            n=self.n,
-            initial=self.initial,
-            patterns=tuple((succ,) for succ in self.successors),
-            weights=self.weights,
-            labels=self.labels,
-        )
-
 
 @dataclass(frozen=True)
 class Pkwts:

@@ -6,9 +6,9 @@ weights up to the root's value, then walk the ordered plays the solved
 values allow, picking each agent's move where the walk meets it.  The
 objectives differ only in the value of an accepting vertex: 0 for the
 worst case, and minus the best response of its observed-pattern row for
-regret.  So one ``QuotientGame`` per model builds the quotient once, in
-whichever solve comes first, and serves both objectives.  The best case
-plans on the refined skeleton.
+regret.  So one ``QuotientGame`` per model makes one resumable build of
+the quotient, in whichever solve comes first, and serves both objectives.
+The best case plans on the refined skeleton.
 
 Why this solves the regret game:
 
@@ -62,23 +62,32 @@ Why this solves the regret game:
    unsettled agent vertex holds an offer above it and an unsettled env
    vertex is still INF: no move into an unsettled vertex ties with the
    value of a vertex the walk meets.  An INF root never stops the solve.
-6. Cutting the build at a limit is exact.  h(x, q), the cheapest cost to
-   acceptance in skeleton x automaton, found once per game by one
-   backward search (``arena._to_go``) that also gives h(v0), bounds
-   every world's, so a play through v costs at least g(v) + h(v), g(v)
-   being v's cheapest cost from the start; h is consistent, so
-   ``build_arena`` expands every vertex with g + h <= limit.  U, the
-   optimum of the intersection world (each state keeps the successors
-   all its patterns share), is at least every world's optimum, so
-   br(row) <= U for every row, and its path wins blindly: worst <= U
-   and regret <= U - br0 <= U - h(v0).  With B = U, E = 0 (worst) or
-   B = U - h(v0), E = U (regret), the limit is B + E.  A vertex past the
-   cut has no moves and is INF, so no value falls.  If g(v) + value(v)
-   <= B, every play of v's strategy, entered along v's cheapest path,
-   ends at a cost at most B plus its seed's bound E, so the strategy is
-   built and v's value is exact.  The walk meets only such vertices, a
-   move attaining the full value leads to another, and any other move is
-   valued higher: it picks the same moves.
+6. Cutting the build at a limit is exact, and deepening certifies the
+   cut.  h(x, q), the cheapest cost to acceptance in skeleton x
+   automaton, found once per game by one backward search
+   (``arena._to_go``) that also gives h(v0), bounds every world's, so a
+   play through v costs at least g(v) + h(v), g(v) being v's cheapest
+   cost from the start; h is consistent, so ``build_arena`` expands
+   every vertex with g + h <= limit.  U, the optimum of the intersection
+   world (each state keeps the successors all its patterns share), is at
+   least every world's optimum, so br(row) <= U for every row, and its
+   path wins blindly: worst <= U and regret <= U - br0 <= U - h(v0).
+   V, the cut game's root value, is an upper bound on the true value: a
+   vertex past the cut has no moves and is INF, so no value falls, and a
+   strategy of the cut game is one of the full game.  Take E = 0 (worst)
+   or E = U (regret), the bound on a seed.  If g(v) + value(v) <= B,
+   every play of v's strategy, entered along v's cheapest path, ends at a
+   cost at most B + E, so the strategy is built within the cut at B + E
+   and v's value is exact.  The walk meets only such vertices, a move
+   attaining the full value leads to another, and any other move is
+   valued higher: it picks the same moves.  The worst case is cut at
+   B = U.  Regret deepens by rounds cut at B + U.  A round with V <= B
+   is exact, since the true regret is at most V.  A round with V > B
+   shows the true regret lies in (B, V], so the next round takes B' in
+   (B, V], and no larger than U - h(v0), where a round is exact.  If no
+   vertex is left with f <= V + U, the cut is already the cut at V + U,
+   so the round is exact too.  The rounds end: each raises B by at least
+   1, the weights being integers, and B never passes U - h(v0).
 
 The paper's shortest-play reduction (charge cost minus best response on
 edges entering an accepting vertex, forbid edges on no cheapest play) is
@@ -95,7 +104,8 @@ import logging
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .arena import Arena, _to_go, build_arena
+from .arena import Arena, CutBuild
+from .arena import build_arena  # noqa: F401  perfbench traces it from here
 from .errors import (
     SolverInvariantError,
     StrategyIncomplete,
@@ -103,8 +113,8 @@ from .errors import (
     UnrealizableTask,
 )
 from .formula import Dfa
-from .model import (INF, Pkwts, Product, dijkstra, letters, product,
-                    satisfying_cost, shortest_path_to, skeleton)
+from .model import (INF, Pkwts, Product, dijkstra, product, satisfying_cost,
+                    shortest_path_to, skeleton)
 
 log = logging.getLogger("regretplan.solver")
 
@@ -159,8 +169,8 @@ class BestResponse:
     or -1 until a path first leaves that state.  Leaving it branches over
     its patterns and fixes the pick, so every search path lives in one
     world, and each world's cheapest satisfying path is a search path.
-    The search is A*: it runs on weights reduced by ``h`` (``_to_go``,
-    computed when not given), w(x, y) + h(y, q') - h(x, q) >= 0, and
+    The search is A*: it runs on weights reduced by ``h`` (``_to_go``),
+    w(x, y) + h(y, q') - h(x, q) >= 0, and
     skips a successor with h = INF, dead automaton states included, from
     which no world accepts.  Accepting vertices end a path, and the
     search stops at the first one settled, the cheapest; the value is its
@@ -174,14 +184,16 @@ class BestResponse:
     that least value instead.  It looks one level only: recursing over
     every completion would enumerate the worlds the lazy search avoids.
     ``searches`` and ``derived`` count the two paths, and ``settled`` the
-    vertices the searches settle.
+    vertices the searches settle.  h and the letter index are read from
+    ``build``, the game's ``CutBuild``, or from a new one when not given.
     """
 
-    def __init__(self, m: Pkwts, a: Dfa, h=None):
+    def __init__(self, m: Pkwts, a: Dfa, build: CutBuild | None = None):
         self.m = m
         self.a = a
-        self.lab = letters(m.labels, a)
-        self.h = _to_go(m, a) if h is None else h
+        if build is None:
+            build = CutBuild(m, a)
+        self.lab, self.h = build.lab, build.h
         unknown = m.unknown_states
         self.slot = {x: j for j, x in enumerate(unknown)}
         self.n_patterns = [len(m.patterns[x]) for x in unknown]
@@ -364,16 +376,21 @@ def _reachable_decisions(arena: Arena, values: list) -> dict:
 # the three synthesis entry points
 
 class QuotientGame:
-    """One model's quotient game, solvable for either objective, cut at
-    U (worst case) or 2U - h(v0) (regret; item 6).  A solve reuses an
-    arena built at a limit at least its own, and only the regret solve
-    evaluates best responses."""
+    """One model's quotient game, solvable for either objective on one
+    resumable cut build (``CutBuild``; item 6), made by the first solve.
+    The worst case extends it to U.  Regret deepens it by rounds B = 0,
+    B1, ... at limit B + U, re-solving after each, until a round certifies
+    its value V: V <= B, or no vertex has f <= V + U, so that the cut is
+    already the cut at V + U.  The next B is the larger of the midpoint of
+    B and V and the next f in the heap less U, capped at V and at
+    U - h(v0).  Vertex ids are stable across rounds, so the seeds of the
+    accepting vertices carry over by id, and one ``BestResponse`` serves
+    every round and every regret solve."""
 
     def __init__(self, m: Pkwts, a: Dfa):
         self.m = m
         self.a = a
-        self._arena, self._limit = None, -INF
-        self._bounds = self._h = None
+        self._build = self._bounds = self._br = None
 
     def bounds(self) -> tuple:
         """(U, h(v0)): the cheapest satisfying cost in the intersection
@@ -381,45 +398,49 @@ class QuotientGame:
         patterns, and in the skeleton, read from the build's h."""
         if self._bounds is None:
             m, a = self.m, self.a
-            lab = letters(m.labels, a)
-            self._h = _to_go(m, a)
-            q0 = a.trans[a.initial][lab[m.initial]]
+            self._build = build = CutBuild(m, a)
+            q0 = a.trans[a.initial][build.lab[m.initial]]
             common = tuple(set.intersection(*map(set, family))
                            for family in m.patterns)
             world = Product(initial=(m.initial, q0), successors=common,
-                            weights=m.weights, lab=lab, dfa=a)
+                            weights=m.weights, lab=build.lab, dfa=a)
             self._bounds = (satisfying_cost(world),
-                            self._h[m.initial * a.n + q0])
+                            build.h[m.initial * a.n + q0])
         return self._bounds
-
-    def arena(self, limit) -> Arena:
-        if self._limit < limit:
-            self._arena = None  # free the smaller arena before the build
-            self._arena = build_arena(self.m, self.a, limit=limit, h=self._h)
-            self._limit = limit
-        return self._arena
 
     def regret(self):
         u, h0 = self.bounds()
-        limit = 2 * u - h0 if u < INF else INF
-        arena = self.arena(limit)
-        br = BestResponse(self.m, self.a, self._h)
-
-        def suffix(v):
-            return arena.suffixes[arena.sfx[v]]
-        # most-observed rows first, so that a partly observed row finds the
-        # rows of its completions memoized; ties keep vertex order
-        order = sorted(arena.accepting, key=lambda v: -len(suffix(v)))
-        seeds = {v: -br(suffix(v)) for v in order}
-        result = solve_minmax(arena, seeds.__getitem__)
-        return _positional("regret", arena, result, u, limit,
+        top = u - h0 if u < INF else INF  # regret <= U - h(v0)
+        if self._br is None:
+            self._br = BestResponse(self.m, self.a, self._build)
+        br, seeds, rounds, b = self._br, {}, [], 0
+        while True:
+            arena = result = None  # free the last round's before the next
+            arena = self._build.extend(b + u)
+            suffixes, sfx = arena.suffixes, arena.sfx
+            # most-observed rows first, so that a partly observed row finds
+            # the rows of its completions memoized; ties keep vertex order
+            new = sorted((v for v in arena.accepting if v not in seeds),
+                         key=lambda v: -len(suffixes[sfx[v]]))
+            for v in new:
+                seeds[v] = -br(suffixes[sfx[v]])
+            result = solve_minmax(arena, seeds.__getitem__)
+            value, f = result.values[arena.v0], self._build.next_f
+            rounds.append(f"{b + u}:{arena.n}:{value}")
+            if value <= b or f is None or f > value + u:
+                break
+            if b >= top:
+                raise SolverInvariantError(
+                    f"regret cut at {b + u} is worth {value} > {b}")
+            b = min(value, top, max(-(-(b + value) // 2), f - u))
+        return _positional("regret", arena, result, u, b + u,
                            f", {br.searches} best-response searches,"
                            f" {br.derived} derived, {br.settled} search"
-                           " vertices settled")
+                           f" vertices settled, rounds {' '.join(rounds)}")
 
     def worst_case(self):
         u = self.bounds()[0]
-        arena = self.arena(u)
+        arena = self._build.extend(u)
         return _positional("worst", arena, solve_minmax(arena, lambda v: 0),
                            u, u)
 

@@ -20,6 +20,7 @@ from regretplan.cli import main
 from regretplan.errors import SearchSpaceTooLarge
 from regretplan.execute import regret_of, run
 from regretplan.formula import parse, to_dfa
+from test_model import to_pkwts
 from test_solver import id_of
 
 INF = math.inf
@@ -209,20 +210,21 @@ def test_criterion_6_benchmark_shape():
 def test_criterion_7_dfa_suite():
     import itertools
 
-    from tests.test_formula import FIXTURES, all_words, distinguishable
+    from tests.test_formula import (FIXTURES, accepts, all_words,
+                                    distinguishable)
     import regretplan.formula as fm
 
     for text, atoms, ref in FIXTURES:
         dfa = to_dfa(parse(text), atoms)
         agree = 0
         for word in all_words(atoms, 5):
-            assert dfa.accepts(word) == ref.accepts(word), (text, word)
+            assert accepts(dfa, word) == ref.accepts(word), (text, word)
             agree += 1
         letters = dfa.letters()
         for word in all_words(atoms, 3):
-            if dfa.accepts(word):
+            if accepts(dfa, word):
                 for sigma in letters:
-                    assert dfa.accepts(list(word) + [sigma])
+                    assert accepts(dfa, list(word) + [sigma])
         for q1 in range(dfa.n):
             for q2 in range(q1 + 1, dfa.n):
                 assert distinguishable(dfa, q1, q2), (text, q1, q2)
@@ -234,7 +236,7 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
     model_file = tmp_path / "t3.json"
     model_file.write_text(json.dumps(md.model_to_json(fixtures.t3())))
     env_file = tmp_path / "env.json"
-    env = fixtures.t3_env_no().to_pkwts()
+    env = to_pkwts(fixtures.t3_env_no())
     env_file.write_text(json.dumps(md.model_to_json(env)))
     map_file = tmp_path / "fig1.grid"
     map_file.write_text(fixtures.FIG1_GRID)

@@ -77,17 +77,18 @@ def test_run_benchmark_builds_one_arena_per_trial(monkeypatch):
     # both objectives share one quotient game per trial; generating the
     # model builds none
     builds, models = [], []
-    build_arena, generate = sv.build_arena, bench.generate
+    generate = bench.generate
 
-    def counting_build(*args, **kwargs):
-        builds.append(args)
-        return build_arena(*args, **kwargs)
+    class CountingBuild(sv.CutBuild):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
 
     def recording_generate(*args):
         models.append(generate(*args))
         return models[-1]
 
-    monkeypatch.setattr(sv, "build_arena", counting_build)
+    monkeypatch.setattr(sv, "CutBuild", CountingBuild)
     monkeypatch.setattr(bench, "generate", recording_generate)
     config = bench.BenchConfig(states=(8,), p_values=(0.5,), trials=6, seed=3)
     bench.run_benchmark(config)

@@ -8,6 +8,7 @@ import pytest
 from regretplan import bench, fixtures
 from regretplan import model as md
 from regretplan.cli import main
+from test_model import to_pkwts
 
 
 @pytest.fixture
@@ -22,7 +23,7 @@ def env_files(tmp_path):
     yes = tmp_path / "env_yes.json"
     no = tmp_path / "env_no.json"
     for path, env in ((yes, fixtures.t3_env_yes()), (no, fixtures.t3_env_no())):
-        path.write_text(json.dumps(md.model_to_json(env.to_pkwts())))
+        path.write_text(json.dumps(md.model_to_json(to_pkwts(env))))
     return str(yes), str(no)
 
 

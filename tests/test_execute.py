@@ -20,6 +20,7 @@ from regretplan.errors import (
 from regretplan.execute import regret_of, run
 from regretplan.formula import parse, to_dfa
 from test_arena import play_cost
+from test_formula import accepts
 from test_model import check_history
 from test_solver import case_study, id_of, random_models
 
@@ -223,8 +224,8 @@ def test_run_record_follows_history_and_automaton(dfa):
                         first.setdefault(x, o)
                 assert [x for x, _ in rec.history] == list(rec.path)
                 assert rec.knowledge_final == tuple(first.items())
-                assert rec.satisfied == dfa.accepts(
-                    [m.labels[x] for x in rec.path])
+                assert rec.satisfied == accepts(
+                    dfa, [m.labels[x] for x in rec.path])
                 checked += 1
                 unsatisfied += not rec.satisfied
     assert checked > 100 and unsatisfied > 0

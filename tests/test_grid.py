@@ -139,6 +139,24 @@ def test_fig1_oracle_certified(fig1):
     assert sv.solve_regret(m, dfa)[1] == value
 
 
+def grid_plus(k):
+    """Grid +k: the case-study map with its first k known walls, in
+    reading order of the map lines after the legend, turned into possible
+    walls (``|`` into ``:``, ``-`` into ``~``)."""
+    legend, _, body = fixtures.CASE_STUDY_GRID.partition("\n\n")
+    cells = list(body)
+    walls = [i for i, glyph in enumerate(cells) if glyph in "|-"][:k]
+    for i in walls:
+        cells[i] = ":" if cells[i] == "|" else "~"
+    return legend + "\n\n" + "".join(cells)
+
+
+def test_grid_plus_unknown_cells():
+    assert grid_plus(0) == fixtures.CASE_STUDY_GRID
+    assert [len(gr.grid_compile(grid_plus(k)).unknown_states)
+            for k in range(2, 6)] == [8, 10, 12, 13]
+
+
 @pytest.fixture(scope="module")
 def case_study():
     m = gr.grid_compile(fixtures.CASE_STUDY_GRID)

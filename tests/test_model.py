@@ -12,6 +12,7 @@ from regretplan import solver as sv
 from regretplan.arena import build_arena, build_ordered_arena
 from regretplan.errors import AtomMismatch, NegativeWeight, TooManyUnknowns
 from regretplan.formula import parse, to_dfa
+from test_formula import accepts
 
 INF = math.inf
 
@@ -65,6 +66,14 @@ def test_skeleton_union_of_overlapping_patterns():
 # ---------------------------------------------------------------------------
 # refine: the reference model of an exploration suffix, read by the
 # optimistic-policy and best-response references in test_solver.py
+
+def to_pkwts(t):
+    """The possible-world model with the one pattern of each state of the
+    concrete environment ``t``."""
+    return md.Pkwts(n=t.n, initial=t.initial,
+                    patterns=tuple((succ,) for succ in t.successors),
+                    weights=t.weights, labels=t.labels)
+
 
 def refine(m, suffix):
     """Pin each explored state to the pattern it showed."""
@@ -168,11 +177,11 @@ def test_product_rejects_atom_mismatch(target_dfa):
         md.product(m, target_dfa)
     # the optimistic policy builds its product once, when it is made
     with pytest.raises(AtomMismatch):
-        sv.best_case_policy(m.to_pkwts(), target_dfa)
+        sv.best_case_policy(to_pkwts(m), target_dfa)
     # the arena builds and the best response index the labels the same way
     for build in (build_arena, build_ordered_arena, sv.BestResponse):
         with pytest.raises(AtomMismatch):
-            build(m.to_pkwts(), target_dfa)
+            build(to_pkwts(m), target_dfa)
 
 
 def test_product_path_acceptance_matches_dfa(target_dfa):
@@ -194,7 +203,7 @@ def test_product_path_acceptance_matches_dfa(target_dfa):
                     s = next(t for t, _ in p.get(s) if t[0] == y)
                     in_acc = p.accepting(s)
                 trace = [env.labels[x] for x in path]
-                assert in_acc == target_dfa.accepts(trace), path
+                assert in_acc == accepts(target_dfa, trace), path
 
 
 def test_dijkstra_source_in_targets():
@@ -354,7 +363,7 @@ def test_model_json_roundtrip(t3):
 
 def test_wts_json_roundtrip():
     t = fixtures.t3_env_yes()
-    back = md.wts_from_json(md.model_to_json(t.to_pkwts()))
+    back = md.wts_from_json(md.model_to_json(to_pkwts(t)))
     assert back.successors == t.successors
     assert back.weights == t.weights
 

@@ -19,6 +19,7 @@ from regretplan import solver as sv
 from regretplan.errors import SearchSpaceTooLarge, StuckNoPath, UnrealizableTask
 from regretplan.execute import regret_of, run
 from regretplan.formula import parse, to_dfa
+from test_grid import grid_plus
 from test_model import refine
 
 INF = math.inf
@@ -388,17 +389,18 @@ def test_shared_game_builds_once_in_the_first_solve(t3, dfa, monkeypatch):
     # the build is charged to whichever solve comes first, and only the
     # regret solve constructs a best response
     builds, responses = [], []
-    build_arena, best_response = sv.build_arena, sv.BestResponse
+    best_response = sv.BestResponse
 
-    def counting_build(*args, **kwargs):
-        builds.append(args)
-        return build_arena(*args, **kwargs)
+    class CountingBuild(sv.CutBuild):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
 
     def counting_best_response(*args):
         responses.append(args)
         return best_response(*args)
 
-    monkeypatch.setattr(sv, "build_arena", counting_build)
+    monkeypatch.setattr(sv, "CutBuild", CountingBuild)
     monkeypatch.setattr(sv, "BestResponse", counting_best_response)
     game = sv.QuotientGame(t3, dfa)
     assert (len(builds), len(responses)) == (0, 0)
@@ -412,11 +414,17 @@ def test_shared_game_builds_once_in_the_first_solve(t3, dfa, monkeypatch):
     assert (len(builds), len(responses)) == (1, 1)
 
 
-class FullGame(sv.QuotientGame):
-    """The quotient game built without a cut, at limit INF."""
-
-    def arena(self, limit):
-        return super().arena(INF)
+def one_round(objective, m, a, arena):
+    """(value, strategy JSON text) of one objective solved once on a
+    given quotient ``arena``, or None when no strategy wins."""
+    terminal = (regret_terminal(m, a, arena) if objective == "regret"
+                else zero)
+    try:
+        strategy, value = sv._positional(
+            objective, arena, sv.solve_minmax(arena, terminal), None, None)
+    except UnrealizableTask:
+        return None
+    return value, json.dumps(strategy.to_json())
 
 
 def quotient_rows(arena):
@@ -425,12 +433,9 @@ def quotient_rows(arena):
             for v in range(arena.n)}
 
 
-def test_cut_quotient_solves_exactly(dfa, monkeypatch):
-    # each objective's cut at the game's limit gives the strategy JSON of
-    # the uncut quotient, in either order on one game; every kept vertex
-    # is a vertex of the full quotient and every expanded row is its row
-    # there.  Worst case then regret builds at most twice, regret then
-    # worst case once
+def cut_cases(dfa):
+    """374 model-task cases: the small fixtures, the case study, random
+    and generated models, and the multi-goal models under every task."""
     cases = [(fixtures.t3(), dfa), (trap_model(), dfa),
              (gr.grid_compile(fixtures.FIG1_GRID),
               to_dfa(parse(fixtures.FIG1_TASK), {"f"})), case_study()]
@@ -442,31 +447,86 @@ def test_cut_quotient_solves_exactly(dfa, monkeypatch):
     tasks = [to_dfa(parse(text), {"a", "b"}) for text in MULTI_GOAL_TASKS]
     cases += [(m, a) for m in map(multi_goal_model, range(50, 80))
               if m is not None for a in tasks]
-    builds, build_arena = [], sv.build_arena
+    assert len(cases) == 374
+    return cases
 
-    def counting_build(*args, **kwargs):
-        builds.append(build_arena(*args, **kwargs))
-        return builds[-1]
 
-    monkeypatch.setattr(sv, "build_arena", counting_build)
-    solvers = (sv.solve_regret, sv.solve_worst_case)
-    unbounded = cut = 0
-    for m, a in cases:
-        full = FullGame(m, a)
-        expected = [outcome(solve, m, a, full) for solve in solvers]
-        full_rows = quotient_rows(full.arena(INF))
-        for order, most in ((solvers, 1), (solvers[::-1], 2)):
+def test_cut_quotient_solves_exactly(dfa, monkeypatch):
+    # each objective, solved on one game in either order, gives the
+    # strategy JSON of the uncut quotient; every kept vertex is a vertex of
+    # the full quotient and every expanded row is its row there.  Either
+    # order makes exactly one build, which the regret solve deepens
+    builds = []
+
+    class RecordingBuild(sv.CutBuild):
+        def __init__(self, *args):
+            builds.append(self)
+            self.limits = []
+            super().__init__(*args)
+
+        def extend(self, limit):
+            self.limits.append(limit)
+            return super().extend(limit)
+
+    monkeypatch.setattr(sv, "CutBuild", RecordingBuild)
+    objectives = ("regret", "worst")
+    solvers = {"regret": sv.solve_regret, "worst": sv.solve_worst_case}
+    unbounded = cut = deepened = 0
+    for m, a in cut_cases(dfa):
+        full = ar.build_arena(m, a)
+        expected = [one_round(objective, m, a, full) for objective in objectives]
+        full_rows = quotient_rows(full)
+        for order in (objectives, objectives[::-1]):
             game = sv.QuotientGame(m, a)
             builds.clear()
-            shared = {solve: outcome(solve, m, a, game) for solve in order}
-            assert [shared[solve] for solve in solvers] == expected, m
-            assert 1 <= len(builds) <= most
-            for vt, row in quotient_rows(builds[-1]).items():
+            shared = {objective: outcome(solvers[objective], m, a, game)
+                      for objective in order}
+            assert [shared[objective] for objective in objectives] == \
+                expected, m
+            assert len(builds) == 1
+            kept = builds[0].arena
+            for vt, row in quotient_rows(kept).items():
                 assert row in ([], full_rows[vt]), vt
-            cut += builds[-1].n < len(full_rows)
+            cut += kept.n < len(full_rows)
+            deepened += len(set(builds[0].limits)) > 1
         unbounded += game.bounds()[0] == INF
-    assert len(cases) == 374 and unbounded >= 1 and cut > 600, (
-        unbounded, cut)
+    assert unbounded >= 1 and cut > 600 and deepened > 10, (
+        unbounded, cut, deepened)
+
+
+def test_grid_plus_2_regret_matches_the_cut_at_2u_minus_h0():
+    # on grid +2, the deepened regret solve gives the strategy JSON of one
+    # round at 2U - h(v0), the limit that assumes the largest regret
+    m, a = gr.grid_compile(grid_plus(2)), case_study()[1]
+    u, h0 = sv.QuotientGame(m, a).bounds()
+    reference = one_round("regret", m, a,
+                          ar.build_arena(m, a, limit=2 * u - h0))
+    assert reference[0] == 4
+    assert outcome(sv.solve_regret, m, a) == reference
+
+
+def test_extended_build_matches_fresh_builds(dfa):
+    # one build extended through increasing limits keeps, at every limit,
+    # the vertex tuples, rows and accepting set of a fresh build there:
+    # the limits run through each f the heap offers, up to the regret
+    # game's largest limit 2U - h(v0), and then INF
+    layers = 0
+    for m, a in cut_cases(dfa):
+        u, h0 = sv.QuotientGame(m, a).bounds()
+        top = 2 * u - h0 if u < INF else INF
+        build = ar.CutBuild(m, a)
+        limit = build.next_f
+        while limit is not None:
+            limit = limit if limit <= top else INF
+            arena, fresh = build.extend(limit), ar.build_arena(m, a, limit=limit)
+            assert [arena.vertex(v) for v in range(arena.n)] == \
+                [fresh.vertex(v) for v in range(fresh.n)]
+            assert list(arena.fwd) == list(fresh.fwd)
+            assert arena.accepting == fresh.accepting
+            layers += 1
+            assert build.next_f is None or build.next_f > limit
+            limit = build.next_f
+    assert layers > 900, layers
 
 
 def test_best_case_policy_runs(t3, dfa):
@@ -725,11 +785,12 @@ def test_best_response_memo_ignores_exploration_order():
 
 
 def test_case_study_regret_searches_only_complete_rows(monkeypatch):
-    # the seeded rows are evaluated most-observed first, so a row is
-    # searched only when, for each of its unexplored states, some
-    # completion is not memoized.  The regret cut keeps 74 accepting
-    # vertices: 14 searched rows observe all 4 unknown states, and 5 are
-    # partial rows whose completions the cut removed, such as (1, 1, -1, 0)
+    # each round seeds its new accepting vertices most-observed row first,
+    # so a row is searched only when, for each of its unexplored states,
+    # some completion is not memoized.  The two rounds keep 28, then 55
+    # accepting vertices: of the 35 searched rows, 13 observe all 4
+    # unknown states, and 22 are partial rows whose completions no round
+    # had kept yet, such as (-1, -1, -1, -1), the row of a blind play
     rows = []
 
     def counting(adj, source):
@@ -744,23 +805,25 @@ def test_case_study_regret_searches_only_complete_rows(monkeypatch):
     monkeypatch.setattr(sv, "dijkstra", counting)
     m, a = case_study()
     assert sv.solve_regret(m, a)[1] == 4
-    assert len(rows) == 19
-    assert sum(-1 not in row for row in rows) == 14
-    assert (1, 1, -1, 0) in rows
+    assert len(rows) == 35
+    assert sum(-1 not in row for row in rows) == 13
+    assert (-1, -1, -1, -1) in rows
 
 
 def test_regret_debug_line_reports_best_response_paths(caplog):
     # each line reports U, the cut's limit and the vertices kept: the
-    # worst-case game is cut at U = 22, the regret game at 2U - h(v0) = 30
+    # worst-case game is cut at U = 22.  The regret game's first round, at
+    # U, is worth 8; the second, at 26, is worth 4 and certifies itself
     m, a = case_study()
     with caplog.at_level(logging.DEBUG, logger="regretplan.solver"):
         sv.solve_regret(m, a)
         sv.solve_worst_case(m, a)
     regret, worst = (r.getMessage() for r in caplog.records)
     assert regret.startswith(
-        "regret game: U 22, limit 30, 2523 vertices, 5328 edges")
-    assert regret.endswith(", 19 best-response searches, 55 derived,"
-                           " 598 search vertices settled")
+        "regret game: U 22, limit 26, 1340 vertices, 2629 edges")
+    assert regret.endswith(", 35 best-response searches, 20 derived,"
+                           " 1027 search vertices settled,"
+                           " rounds 22:531:8 26:1340:4")
     assert worst.startswith("worst game: U 22, limit 22, 531 vertices")
     assert "best-response" not in worst
 
@@ -1100,7 +1163,7 @@ def test_to_go_is_a_consistent_potential(dfa):
               if m is not None for a in tasks]
     assert len(cases) > 100
     for m, a in cases:
-        h, sk = ar._to_go(m, a), md.skeleton(m)
+        h, sk = ar.CutBuild(m, a).h, md.skeleton(m)
         for x in range(m.n):
             for q in range(a.n):
                 if q in a.accepting:
