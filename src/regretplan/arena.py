@@ -31,7 +31,7 @@ from itertools import accumulate
 
 from .errors import ArenaTooLarge
 from .formula import Dfa
-from .model import INF, Pkwts, dijkstra, letters, skeleton
+from .model import INF, Pkwts, dijkstra, letters, skeleton_successors
 
 DEFAULT_VERTEX_CAP = 5_000_000
 
@@ -164,28 +164,41 @@ def _finish(columns, suffixes, accepting, start, src, dst, wt) -> Arena:
     )
 
 
-def _to_go(m: Pkwts, a: Dfa, lab: tuple) -> list:
-    """h at ``x * |Q| + q``: the cheapest cost from (x, q) to acceptance
-    in skeleton x automaton, INF where none, as at a dead q; one backward
-    search from the accepting pairs.  h is 0 at an accepting q and
-    consistent, h(x, q) <= w(x, y) + h(y, q') on every edge, so it bounds
-    the cost to acceptance in every world from below and is a feasible
-    potential for a search on any subgraph (``BestResponse``).  The
-    skeleton's successors are the unions of the patterns, whose weights
-    ``Pkwts`` has checked; ``lab`` is the letter index of each state."""
-    nq, trans = a.n, a.trans
+def _to_go(m: Pkwts, a: Dfa, lab: tuple, succ: tuple) -> tuple:
+    """(h, settled): h at ``x * |Q| + q`` is the cheapest cost from
+    (x, q) to acceptance in skeleton x automaton, INF where none.  h is 0
+    at an accepting q and INF at a dead one, set without search; one
+    backward search over the live automaton layers finds the rest, from a
+    source joined to each live (x, q) at weight w(x, y) for every
+    skeleton edge x -> y whose letter enters acceptance, and ``settled``
+    counts the pairs it settles.  h is consistent, h(x, q) <= w(x, y) +
+    h(y, q') on every edge, so it bounds the cost to acceptance in every
+    world from below and is a feasible potential for a search on any
+    subgraph (``BestResponse``, the U search).  ``lab`` is the letter
+    index of each state and ``succ`` its skeleton successors
+    (``skeleton_successors``), whose weights ``Pkwts`` has checked."""
+    nq, trans, accepts, dead = a.n, a.trans, a.accepting, a.dead
+    live = [q for q in range(nq) if q not in accepts and q not in dead]
     top = m.n * nq  # the search's source
-    back = {top: [(x * nq + q, 0) for x in range(m.n) for q in a.accepting]}
-    for x, family in enumerate(m.patterns):
-        for y in set().union(*family):
-            col, w = lab[y], m.weights[(x, y)]
-            for q in range(nq):
-                back.setdefault(y * nq + trans[q][col], []).append(
-                    (x * nq + q, w))
-    h = [INF] * (top + 1)
-    for u, d in dijkstra(back, top):
+    back = {top: []}  # (y, q') -> [((x, q), w(x, y)), ...], pairs as ids
+    seeds, weights = back[top], m.weights
+    for x, ys in enumerate(succ):
+        for y in ys:
+            col, w = lab[y], weights[(x, y)]
+            for q in live:
+                q2 = trans[q][col]
+                if q2 in accepts:
+                    seeds.append((x * nq + q, w))
+                elif q2 not in dead:
+                    back.setdefault(y * nq + q2, []).append((x * nq + q, w))
+    h = [0 if q in accepts else INF for q in range(nq)] * m.n
+    search = dijkstra(back, top)
+    next(search)  # the source
+    settled = 0
+    for u, d in search:
         h[u] = d
-    return h
+        settled += 1
+    return h, settled
 
 
 def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
@@ -221,21 +234,23 @@ def build_arena(m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP,
 class CutBuild:
     """One quotient build (``build_arena``), resumable at a higher limit.
 
-    It computes the letter index ``lab`` and h (``_to_go``) once, and
-    keeps its heap, g, vertex columns, suffix rows and pop-order rows
-    between calls.  ``extend(limit)`` pops only while the heap's least f
-    is at most ``limit``, so a build extended through increasing limits
-    expands the vertices of one fresh build at the last limit, in the
-    same order: A* pops f in nondecreasing order, h being consistent, and
-    vertex ids are stable.  It returns ``arena``, the rows expanded so
-    far gathered into id order, as a snapshot later calls leave intact; a
-    call that expands nothing returns the previous arena.  ``next_f`` is
-    the least f of a vertex not yet expanded, None once every vertex
-    is."""
+    It computes the model's skeleton index once: the letter index
+    ``lab`` and h (``_to_go`` on the skeleton successors, settling
+    ``h_settled`` pairs).  It keeps its heap, g, vertex columns, suffix
+    rows and pop-order rows between calls.
+    ``extend(limit)`` pops only while the heap's least f is at most
+    ``limit``, so a build extended through increasing limits expands the
+    vertices of one fresh build at the last limit, in the same order: A*
+    pops f in nondecreasing order, h being consistent, and vertex ids are
+    stable.  It returns ``arena``, the rows expanded so far gathered into
+    id order, as a snapshot later calls leave intact; a call that expands
+    nothing returns the previous arena.  ``next_f`` is the least f of a
+    vertex not yet expanded, None once every vertex is."""
 
     def __init__(self, m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP):
         self.lab = letters(m.labels, a)
-        self.h = _to_go(m, a, self.lab)
+        self.h, self.h_settled = _to_go(m, a, self.lab,
+                                        skeleton_successors(m))
         self.arena = None
         self._rounds = _rounds(m, a, cap, self.lab, self.h)
         self.next_f = next(self._rounds)
@@ -412,8 +427,7 @@ def size_bound(m: Pkwts, a: Dfa) -> int:
     """Worst-case vertex count of the ordered arena, which bounds the
     quotient too: n! * 2^n * |X| * |Q| * |X| * skeleton edges."""
     n_un = len(m.unknown_states)
-    sk = skeleton(m)
-    edge_measure = m.n * sum(len(s) for s in sk.successors)
+    edge_measure = m.n * sum(map(len, skeleton_successors(m)))
     return math.factorial(n_un) * (2 ** n_un) * m.n * a.n * edge_measure
 
 

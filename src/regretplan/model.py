@@ -121,15 +121,20 @@ class Pkwts:
 # ---------------------------------------------------------------------------
 # skeleton / compatible environments
 
+def skeleton_successors(m: Pkwts) -> tuple:
+    """Each state's successors in the skeleton: the sorted union of its
+    patterns, and a known state's single pattern as it is."""
+    return tuple(family[0] if len(family) == 1
+                 else tuple(sorted(set().union(*family)))
+                 for family in m.patterns)
+
+
 def skeleton(m: Pkwts) -> Wts:
     """Most permissive world: union of all patterns at each state."""
-    successors = tuple(
-        tuple(sorted(set().union(*m.patterns[x]))) for x in range(m.n)
-    )
     return Wts(
         n=m.n,
         initial=m.initial,
-        successors=successors,
+        successors=skeleton_successors(m),
         weights=m.weights,
         labels=m.labels,
     )

@@ -64,14 +64,18 @@ Why this solves the regret game:
    value of a vertex the walk meets.  An INF root never stops the solve.
 6. Cutting the build at a limit is exact, and deepening certifies the
    cut.  h(x, q), the cheapest cost to acceptance in skeleton x
-   automaton, found once per game by one backward search
-   (``arena._to_go``) that also gives h(v0), bounds every world's, so a
-   play through v costs at least g(v) + h(v), g(v) being v's cheapest
-   cost from the start; h is consistent, so ``build_arena`` expands
-   every vertex with g + h <= limit.  U, the optimum of the intersection
-   world (each state keeps the successors all its patterns share), is at
-   least every world's optimum, so br(row) <= U for every row, and its
-   path wins blindly: worst <= U and regret <= U - br0 <= U - h(v0).
+   automaton, found once per game by one backward search over the live
+   automaton layers (``arena._to_go``) that also gives h(v0), bounds
+   every world's, so a play through v costs at least g(v) + h(v), g(v)
+   being v's cheapest cost from the start; h is consistent, so
+   ``build_arena`` expands every vertex with g + h <= limit.  U, the
+   optimum of the intersection world (each state keeps the successors
+   all its patterns share), is at least every world's optimum, so
+   br(row) <= U for every row, and its path wins blindly: worst <= U and
+   regret <= U - br0 <= U - h(v0).  U is found by A* on h: the
+   intersection world is a subgraph of the skeleton, so h is consistent
+   on it too, the reduced weights are nonnegative, and the first
+   accepting pair settled is the cheapest.
    V, the cut game's root value, is an upper bound on the true value: a
    vertex past the cut has no moves and is INF, so no value falls, and a
    strategy of the cut game is one of the full game.  Take E = 0 (worst)
@@ -102,6 +106,7 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .arena import Arena, CutBuild
@@ -113,8 +118,9 @@ from .errors import (
     UnrealizableTask,
 )
 from .formula import Dfa
-from .model import (INF, Pkwts, Product, dijkstra, product, satisfying_cost,
-                    shortest_path_to, skeleton)
+from .model import INF, Pkwts, Product, dijkstra, letters
+from .model import product  # noqa: F401  perfbench traces it from here
+from .model import shortest_path_to, skeleton_successors
 
 log = logging.getLogger("regretplan.solver")
 
@@ -391,21 +397,42 @@ class QuotientGame:
         self.m = m
         self.a = a
         self._build = self._bounds = self._br = None
+        self.u_settled = 0
 
     def bounds(self) -> tuple:
         """(U, h(v0)): the cheapest satisfying cost in the intersection
-        world, where each state keeps the successors common to all its
-        patterns, and in the skeleton, read from the build's h."""
+        world, where each unknown state keeps the successors common to
+        all its patterns, and in the skeleton, read from the build's h.
+        U is found by A* on h (item 6): a search on the reduced weights
+        w(x, y) + h(y, q') - h(x, q) that skips successors with h = INF,
+        whose first accepting pair settled is at U - h(v0).  U is INF
+        without a search when h(v0) is; ``u_settled`` counts the pairs
+        the search settles."""
         if self._bounds is None:
             m, a = self.m, self.a
             self._build = build = CutBuild(m, a)
-            q0 = a.trans[a.initial][build.lab[m.initial]]
-            common = tuple(set.intersection(*map(set, family))
+            nq, lab, h = a.n, build.lab, build.h
+            v0 = m.initial * nq + a.trans[a.initial][lab[m.initial]]
+            common = tuple(family[0] if len(family) == 1
+                           else set.intersection(*map(set, family))
                            for family in m.patterns)
-            world = Product(initial=(m.initial, q0), successors=common,
-                            weights=m.weights, lab=build.lab, dfa=a)
-            self._bounds = (satisfying_cost(world),
-                            build.h[m.initial * a.n + q0])
+
+            def get(u, default=None):  # vertex x * |Q| + q
+                x, q = divmod(u, nq)
+                hu, trans = h[u], a.trans[q]
+                for y in common[x]:
+                    v = y * nq + trans[lab[y]]
+                    if h[v] < INF:
+                        yield v, m.weights[(x, y)] + h[v] - hu
+
+            u = INF
+            if h[v0] < INF:
+                for v, d in dijkstra(SimpleNamespace(get=get), v0):
+                    self.u_settled += 1
+                    if v % nq in a.accepting:
+                        u = d + h[v0]
+                        break
+            self._bounds = (u, h[v0])
         return self._bounds
 
     def regret(self):
@@ -436,7 +463,9 @@ class QuotientGame:
         return _positional("regret", arena, result, u, b + u,
                            f", {br.searches} best-response searches,"
                            f" {br.derived} derived, {br.settled} search"
-                           f" vertices settled, rounds {' '.join(rounds)}")
+                           f" vertices settled, rounds {' '.join(rounds)},"
+                           f" {self._build.h_settled} h-search and"
+                           f" {self.u_settled} U-search vertices settled")
 
     def worst_case(self):
         u = self.bounds()[0]
@@ -496,7 +525,11 @@ class OnlinePolicy:
 
     def __init__(self, m: Pkwts, a: Dfa):
         self.a = a
-        self.prod = product(skeleton(m), a)
+        lab = letters(m.labels, a)
+        q0 = a.trans[a.initial][lab[m.initial]]
+        self.prod = Product(initial=(m.initial, q0),
+                            successors=skeleton_successors(m),
+                            weights=m.weights, lab=lab, dfa=a)
         self.plan = {}
         self.searches = 0
 

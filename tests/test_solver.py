@@ -6,6 +6,7 @@ import json
 import logging
 import math
 from collections import deque
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -790,10 +791,13 @@ def test_case_study_regret_searches_only_complete_rows(monkeypatch):
     # some completion is not memoized.  The two rounds keep 28, then 55
     # accepting vertices: of the 35 searched rows, 13 observe all 4
     # unknown states, and 22 are partial rows whose completions no round
-    # had kept yet, such as (-1, -1, -1, -1), the row of a blind play
+    # had kept yet, such as (-1, -1, -1, -1), the row of a blind play.
+    # Only best-response searches count: the U search uses dijkstra too
     rows = []
 
     def counting(adj, source):
+        if not isinstance(adj, sv.BestResponse):
+            return md.dijkstra(adj, source)
         row = source[2]
         rows.append(row)
         for j, k in enumerate(adj.n_patterns):
@@ -813,7 +817,9 @@ def test_case_study_regret_searches_only_complete_rows(monkeypatch):
 def test_regret_debug_line_reports_best_response_paths(caplog):
     # each line reports U, the cut's limit and the vertices kept: the
     # worst-case game is cut at U = 22.  The regret game's first round, at
-    # U, is worth 8; the second, at 26, is worth 4 and certifies itself
+    # U, is worth 8; the second, at 26, is worth 4 and certifies itself.
+    # The h search settles the 76 live pairs that reach acceptance, and
+    # the A* U search 45 pairs
     m, a = case_study()
     with caplog.at_level(logging.DEBUG, logger="regretplan.solver"):
         sv.solve_regret(m, a)
@@ -823,7 +829,8 @@ def test_regret_debug_line_reports_best_response_paths(caplog):
         "regret game: U 22, limit 26, 1340 vertices, 2629 edges")
     assert regret.endswith(", 35 best-response searches, 20 derived,"
                            " 1027 search vertices settled,"
-                           " rounds 22:531:8 26:1340:4")
+                           " rounds 22:531:8 26:1340:4,"
+                           " 76 h-search and 45 U-search vertices settled")
     assert worst.startswith("worst game: U 22, limit 22, 531 vertices")
     assert "best-response" not in worst
 
@@ -1173,6 +1180,71 @@ def test_to_go_is_a_consistent_potential(dfa):
                     assert h[x * a.n + q] <= m.weights[(x, y)] + h[v], (m, x, q)
         assert sv.QuotientGame(m, a).bounds()[1] == md.satisfying_cost(
             md.product(sk, a)), m
+
+
+def accepting_start_cases():
+    """The multi-goal models under ``true``, whose initial automaton state
+    is accepting, and under ``a | F b``, also with the initial state
+    relabeled a, so that the start pair is accepting."""
+    tasks = [to_dfa(parse(text), {"a", "b"}) for text in ("true", "a | F b")]
+    models = [m for m in map(multi_goal_model, range(50, 80)) if m is not None]
+    relabeled = [md.Pkwts(n=m.n, initial=m.initial, patterns=m.patterns,
+                          weights=m.weights,
+                          labels=tuple(frozenset({"a"}) if x == m.initial
+                                       else label
+                                       for x, label in enumerate(m.labels)))
+                 for m in models]
+    return ([(m, a) for m in models for a in tasks]
+            + [(m, tasks[1]) for m in relabeled])
+
+
+def test_to_go_is_exact(dfa):
+    # h at every (x, q) is the cheapest satisfying cost of a forward
+    # search from that pair on skeleton x automaton, not only a
+    # consistent bound: the build's f values, and so its pop order, vertex
+    # ids and strategies, rest on it.  The h search settles exactly the
+    # live pairs from which acceptance is reachable
+    cases = cut_cases(dfa) + accepting_start_cases()
+    starts_accepting = 0
+    for m, a in cases:
+        build = ar.CutBuild(m, a)
+        forward = md.Product(initial=None,
+                             successors=md.skeleton(m).successors,
+                             weights=m.weights, lab=build.lab, dfa=a)
+        reachable = 0
+        for x in range(m.n):
+            for q in range(a.n):
+                cost = md.satisfying_cost(replace(forward, initial=(x, q)))
+                assert build.h[x * a.n + q] == cost, (m, a, x, q)
+                reachable += cost < INF and q not in a.accepting
+        assert build.h_settled == reachable, (m, a)
+        q0 = a.trans[a.initial][build.lab[m.initial]]
+        starts_accepting += q0 in a.accepting
+        if q0 in a.accepting:
+            assert sv.QuotientGame(m, a).bounds() == (0, 0)
+            assert sv.solve_regret(m, a)[1] == 0
+            assert sv.solve_worst_case(m, a)[1] == 0
+    assert len(cases) == 374 + 3 * 30 and starts_accepting == 2 * 30, (
+        len(cases), starts_accepting)
+
+
+def test_u_is_the_intersection_worlds_optimum(dfa):
+    # the A* U search on h gives the plain forward search's cheapest
+    # satisfying cost in the intersection world, where each state keeps
+    # the successors common to all its patterns; U is INF on 9 cases
+    unbounded = 0
+    for m, a in cut_cases(dfa):
+        lab = md.letters(m.labels, a)
+        common = tuple(tuple(sorted(set.intersection(*map(set, family))))
+                       for family in m.patterns)
+        world = md.Product(initial=(m.initial,
+                                    a.trans[a.initial][lab[m.initial]]),
+                           successors=common, weights=m.weights, lab=lab,
+                           dfa=a)
+        u = sv.QuotientGame(m, a).bounds()[0]
+        assert u == md.satisfying_cost(world), m
+        unbounded += u == INF
+    assert unbounded == 9, unbounded
 
 
 def test_dead_state_cut_keeps_every_decision():
