@@ -8,17 +8,20 @@ carries the committed successor.  ``build_ordered_arena`` keeps the
 order of exploration; ``build_arena`` builds the order-free quotient
 the solvers play on.
 
-Storage is flat.  Each knowledge suffix is interned once as an integer
-id, with one row giving the observed pattern index of every state (-1
-while unexplored).
+Storage is flat and append-only.  Each knowledge suffix is interned
+once as an integer id, with one row giving the observed pattern index of
+every state (-1 while unexplored).
 Vertices are numbered in order of discovery and kept as parallel
 integer columns.  During the build only agent vertices are looked up, by
 one integer key: an env vertex has a single predecessor and is created
-once.  Edges are compressed sparse rows in vertex order, so an edge is
-an integer slot.  An agent's row lists its moves in ascending committed
-successor, which in the ordered arena is also target order; an env row
-is sorted by target.  A reverse index lists, per target, the slots
-entering it in order of source.
+once.  Edges are parallel arrays appended as vertices are expanded, so
+an edge is an integer slot and a vertex's row is the contiguous run of
+slots from its first slot, as long as its degree; the ordered arena
+expands in id order, so its rows are in id order.  An agent's row lists
+its moves in ascending committed successor, which in the ordered arena
+is also target order; an env row is sorted by target.  Each edge is also
+linked into its target's in-edge list, newest first, so the cut build
+grows one arena in place.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import accumulate
 
 from .errors import ArenaTooLarge
 from .formula import Dfa
@@ -43,14 +45,15 @@ class _Rows:
     """Forward adjacency view: ``rows[u]`` lists u's (successor, weight)
     pairs."""
 
-    def __init__(self, start, dst, wt):
-        self._start, self._dst, self._wt = start, dst, wt
+    def __init__(self, first, deg, dst, wt):
+        self._first, self._deg, self._dst, self._wt = first, deg, dst, wt
 
     def __len__(self):
-        return len(self._start) - 1
+        return len(self._first)
 
     def __getitem__(self, u):
-        s, e = self._start[u], self._start[u + 1]
+        s = self._first[u]
+        e = s + self._deg[u]
         return list(zip(self._dst[s:e], self._wt[s:e]))
 
     def __iter__(self):
@@ -69,17 +72,19 @@ class Arena:
     q: array                 # id -> automaton state
     sfx: array               # id -> knowledge suffix id
     xhat: array              # id -> committed successor (env), -1 (agent)
-    suffixes: tuple          # suffix id -> ((state, pattern), ...) in order
-                             # of exploration, or of state in the quotient
-    v0: int
-    accepting: tuple         # sorted agent vertex ids with accepting q
-    start: array             # id -> first edge slot of its row; [n] = edges
-    src: array               # edge slot -> source id
+    first: array             # id -> first edge slot of its row
+    deg: array               # id -> number of edge slots in its row
+    last_in: array           # id -> newest edge slot entering it, -1 if none
+    src: array               # edge slot -> source id; rows in expansion order
     dst: array               # edge slot -> target id; agent rows in committed
                              # successor order, env rows sorted by target
     wt: list                 # edge slot -> movement weight, 0 on commitments
-    rev_start: array         # id -> first entry of its row in rev_edge
-    rev_edge: array          # slots entering each vertex, sorted by source
+    prev_in: array           # edge slot -> previous slot entering its target,
+                             # -1 if none
+    suffixes: list           # suffix id -> ((state, pattern), ...) in order
+                             # of exploration, or of state in the quotient
+    v0: int
+    accepting: tuple         # sorted agent vertex ids with accepting q
 
     @property
     def n(self) -> int:
@@ -87,7 +92,7 @@ class Arena:
 
     @property
     def fwd(self) -> _Rows:
-        return _Rows(self.start, self.dst, self.wt)
+        return _Rows(self.first, self.deg, self.dst, self.wt)
 
     def is_agent(self, v: int) -> bool:
         return not self.kind[v]
@@ -104,14 +109,19 @@ class Arena:
         return zip(self.src, self.dst, self.wt)
 
 
-def _vertices(m: Pkwts, a: Dfa, cap: int, lab: tuple):
-    """Vertex columns holding the start vertex, and the closures that
-    extend them: ``grow`` counts one vertex against ``cap``
-    (ArenaTooLarge), ``add`` appends a vertex and returns its id, and
-    ``agent`` looks an agent vertex up by one integer key, adding it when
-    new.  ``lab`` is the letter index of each state."""
+def _storage(m: Pkwts, a: Dfa, cap: int, lab: tuple):
+    """An arena's append-only storage, as a dict of its vertex and edge
+    fields, holding the start vertex, and the closures that extend it:
+    ``grow`` counts one vertex against ``cap`` (ArenaTooLarge), ``add``
+    appends a vertex and returns its id, ``agent`` looks an agent vertex
+    up by one integer key, adding it when new, and ``link`` appends the
+    edge u -> v of weight w to u's row and to v's in-edge list.  A row's
+    edges are linked one after another, when its vertex is expanded.
+    ``lab`` is the letter index of each state."""
     kind = bytearray()
     xs, qs, sfxs, xhats = array("i"), array("i"), array("i"), array("i")
+    first, deg, last_in = array("i"), array("i"), array("i")
+    src, dst, wt, prev_in = array("i"), array("i"), [], array("i")
     agent_ids = {}  # (sfx * |Q| + q) * |X| + x -> agent vertex id
     size = 0
 
@@ -129,6 +139,9 @@ def _vertices(m: Pkwts, a: Dfa, cap: int, lab: tuple):
         qs.append(q)
         sfxs.append(sid)
         xhats.append(xhat)
+        first.append(0)
+        deg.append(0)
+        last_in.append(-1)
         return vid
 
     def agent(x, q, sid):
@@ -138,30 +151,22 @@ def _vertices(m: Pkwts, a: Dfa, cap: int, lab: tuple):
             vid = agent_ids[key] = add(0, x, q, sid, -1)
         return vid
 
+    def link(u, v, w):
+        e = len(dst)
+        if not deg[u]:
+            first[u] = e
+        deg[u] += 1
+        src.append(u)
+        dst.append(v)
+        wt.append(w)
+        prev_in.append(last_in[v])
+        last_in[v] = e
+
     agent(m.initial, a.trans[a.initial][lab[m.initial]], 0)
-    return (kind, xs, qs, sfxs, xhats), grow, add, agent
-
-
-def _finish(columns, suffixes, accepting, start, src, dst, wt) -> Arena:
-    """The arena of the built columns, accepting vertices and edge rows,
-    with its reverse index."""
-    kind, xs, qs, sfxs, xhats = columns
-    n = len(kind)
-    indegree = [0] * n
-    for v in dst:
-        indegree[v] += 1
-    fill = list(accumulate(indegree, initial=0))
-    rev_start = array("i", fill)
-    rev_edge = array("i", [0]) * len(dst)
-    for e, v in enumerate(dst):  # slots ascend by source
-        rev_edge[fill[v]] = e
-        fill[v] += 1
-
-    return Arena(
-        kind=kind, x=xs, q=qs, sfx=sfxs, xhat=xhats, suffixes=tuple(suffixes),
-        v0=0, accepting=tuple(accepting), start=start, src=src, dst=dst, wt=wt,
-        rev_start=rev_start, rev_edge=rev_edge,
-    )
+    store = dict(kind=kind, x=xs, q=qs, sfx=sfxs, xhat=xhats, first=first,
+                 deg=deg, last_in=last_in, src=src, dst=dst, wt=wt,
+                 prev_in=prev_in)
+    return store, grow, add, agent, link
 
 
 def _to_go(m: Pkwts, a: Dfa, lab: tuple, succ: tuple) -> tuple:
@@ -236,16 +241,17 @@ class CutBuild:
 
     It computes the model's skeleton index once: the letter index
     ``lab`` and h (``_to_go`` on the skeleton successors, settling
-    ``h_settled`` pairs).  It keeps its heap, g, vertex columns, suffix
-    rows and pop-order rows between calls.
+    ``h_settled`` pairs).  It keeps its heap, g and suffix rows between
+    calls, and grows one arena in place.
     ``extend(limit)`` pops only while the heap's least f is at most
     ``limit``, so a build extended through increasing limits expands the
     vertices of one fresh build at the last limit, in the same order: A*
     pops f in nondecreasing order, h being consistent, and vertex ids are
-    stable.  It returns ``arena``, the rows expanded so far gathered into
-    id order, as a snapshot later calls leave intact; a call that expands
-    nothing returns the previous arena.  ``next_f`` is the least f of a
-    vertex not yet expanded, None once every vertex is."""
+    stable.  It returns ``arena``, the rows expanded so far, which is
+    valid until the next ``extend`` grows it; a call that expands nothing
+    returns the same arena.  ``next_f`` is the least f of a vertex not
+    yet expanded, None once every vertex is; the search state is then
+    dropped, and only the arena is kept."""
 
     def __init__(self, m: Pkwts, a: Dfa, cap: int = DEFAULT_VERTEX_CAP):
         self.lab = letters(m.labels, a)
@@ -258,18 +264,20 @@ class CutBuild:
     def extend(self, limit) -> Arena:
         if self.arena is None or (self.next_f is not None
                                   and self.next_f <= limit):
-            self.arena = None  # free the previous snapshot before the gather
             self.arena, self.next_f = self._rounds.send(limit)
+            if self.next_f is None:
+                self._rounds = None
         return self.arena
 
 
 def _rounds(m, a, cap, lab, h):
     """``CutBuild``'s state, as a generator that yields the least f in
-    the heap, then, sent each round's limit, that round's arena and the
-    least f left."""
+    the heap, then, sent each round's limit, the arena grown that round
+    and the least f left."""
     nq = a.n
-    columns, grow, add, agent = _vertices(m, a, cap, lab)
-    kind, xs, qs, sfxs, xhats = columns
+    store, grow, add, agent, link = _storage(m, a, cap, lab)
+    kind, xs, qs, sfxs, xhats = (store[k] for k in ("kind", "x", "q", "sfx",
+                                                      "xhat"))
     patterns, weights, trans = m.patterns, m.weights, a.trans
     rows = [array("i", [0 if len(p) == 1 else -1 for p in patterns])]
     suffixes = [()]
@@ -287,7 +295,7 @@ def _rounds(m, a, cap, lab, h):
                 tuple(sorted(suffixes[sid] + ((x, patterns[x][p]),))))
         return child
 
-    g = array("q")  # id -> cheapest cost found so far; < 0 once expanded
+    g = array("q")  # id -> cheapest cost found so far; -1 once expanded
     heap = []
 
     def reach(v, d, f):  # offer v the cost d; f = d + h(v)
@@ -302,7 +310,6 @@ def _rounds(m, a, cap, lab, h):
     reach(0, 0, h[xs[0] * nq + qs[0]])
     accepts, dead = a.accepting, a.dead
     accepting = []  # expanded agent vertices with accepting q
-    src, dst, wt = array("i"), array("i"), []  # rows in pop order
     limit = yield heap[0][0]
     while True:
         while heap and heap[0][0] <= limit:
@@ -310,7 +317,7 @@ def _rounds(m, a, cap, lab, h):
             d = g[u]
             if d < 0:  # expanded at a lower f
                 continue
-            g[u] = ~len(dst)  # expanded: ~g[u] is its first pop-order slot
+            g[u] = -1
             x, q, sid = xs[u], qs[u], sfxs[u]
             row = rows[sid]
             if kind[u]:  # a committed move that reveals xhat's pattern
@@ -321,9 +328,7 @@ def _rounds(m, a, cap, lab, h):
                 for v in sorted([agent(xhat, q2, explore(sid, xhat, p))
                                  for p in range(len(patterns[xhat]))]):
                     reach(v, d + w, fv)
-                    src.append(u)
-                    dst.append(v)
-                    wt.append(w)
+                    link(u, v, w)
             elif q in accepts:  # the payoff is fixed at acceptance
                 accepting.append(u)
             elif q not in dead:  # and a dead q loses in every world
@@ -338,34 +343,12 @@ def _rounds(m, a, cap, lab, h):
                     else:
                         v, w = add(1, x, q, sid, xhat), 0
                         reach(v, d, fv)
-                    src.append(u)
-                    dst.append(v)
-                    wt.append(w)
+                    link(u, v, w)
         while heap and g[heap[0][1]] < 0:  # entries of expanded vertices
             heappop(heap)
-        # the arena gets copies of the columns while the build can grow them
-        kept = [c[:] for c in columns] if heap else columns
-        limit = yield (_gather(kept, suffixes, sorted(accepting), g,
-                               src, dst, wt),
+        limit = yield (Arena(**store, suffixes=suffixes, v0=0,
+                             accepting=tuple(sorted(accepting))),
                        heap[0][0] if heap else None)
-
-
-def _gather(columns, suffixes, accepting, g, src, dst, wt) -> Arena:
-    """The arena of a build's rows, from pop order into id order; ``~g[u]``
-    is the first pop-order slot of an expanded vertex u."""
-    kind = columns[0]
-    degree = [0] * len(kind)
-    for u in src:
-        degree[u] += 1
-    slots = array("i")  # the rows in id order
-    for u, k in enumerate(degree):
-        if k:
-            slots.extend(range(~g[u], ~g[u] + k))
-    start = array("i", accumulate(degree, initial=0))
-    return _finish(columns, suffixes, accepting, start,
-                   array("i", map(src.__getitem__, slots)),
-                   array("i", map(dst.__getitem__, slots)),
-                   list(map(wt.__getitem__, slots)))
 
 
 def build_ordered_arena(m: Pkwts, a: Dfa,
@@ -375,8 +358,9 @@ def build_ordered_arena(m: Pkwts, a: Dfa,
     trie keyed by (parent id, state, pattern index).  ``cap`` bounds the
     vertex count."""
     lab = letters(m.labels, a)
-    columns, _, add, agent = _vertices(m, a, cap, lab)
-    kind, xs, qs, sfxs, xhats = columns
+    store, _, add, agent, link = _storage(m, a, cap, lab)
+    kind, xs, qs, sfxs, xhats = (store[k] for k in ("kind", "x", "q", "sfx",
+                                                      "xhat"))
     patterns, weights, trans = m.patterns, m.weights, a.trans
     rows = [array("i", [0 if len(p) == 1 else -1 for p in patterns])]
     suffixes = [()]
@@ -393,16 +377,13 @@ def build_ordered_arena(m: Pkwts, a: Dfa,
             suffixes.append(suffixes[sid] + ((x, patterns[x][p]),))
         return child
 
-    start, src, dst, wt = array("i", [0]), array("i"), array("i"), []
     u = 0
     while u < len(kind):  # vertices are appended in BFS order
         x, q, sid = xs[u], qs[u], sfxs[u]
         row = rows[sid]
         if not kind[u]:
             for xhat in patterns[x][row[x]]:
-                src.append(u)
-                dst.append(add(1, x, q, sid, xhat))
-                wt.append(0)
+                link(u, add(1, x, q, sid, xhat), 0)
         else:
             xhat = xhats[u]
             q2 = trans[q][lab[xhat]]
@@ -413,14 +394,11 @@ def build_ordered_arena(m: Pkwts, a: Dfa,
                 succs = sorted([agent(xhat, q2, explore(sid, xhat, p))
                                 for p in range(len(patterns[xhat]))])
             for v in succs:
-                src.append(u)
-                dst.append(v)
-                wt.append(w)
-        start.append(len(dst))
+                link(u, v, w)
         u += 1
-    accepting = [v for v in range(len(kind))
-                 if not kind[v] and qs[v] in a.accepting]
-    return _finish(columns, suffixes, accepting, start, src, dst, wt)
+    accepting = tuple(v for v in range(len(kind))
+                      if not kind[v] and qs[v] in a.accepting)
+    return Arena(**store, suffixes=suffixes, v0=0, accepting=accepting)
 
 
 def size_bound(m: Pkwts, a: Dfa) -> int:

@@ -55,7 +55,7 @@ def brute_force_optimal_regret(
         env_move.append(_env_move_table(arena, t))
 
     accepting = set(arena.accepting)
-    start, dst = arena.start, arena.dst
+    first, deg, dst = arena.first, arena.deg, arena.dst
     decisions: dict = {}
     costs: list = []
     best = [INF, None]
@@ -94,7 +94,7 @@ def brute_force_optimal_regret(
         if v in decisions:
             advance(env_idx, decisions[v], cost, visited | {v}, partial)
             return
-        for t in dst[start[v]:start[v + 1]]:
+        for t in dst[first[v]:first[v] + deg[v]]:
             decisions[v] = t
             advance(env_idx, t, cost, visited | {v}, partial)
             del decisions[v]

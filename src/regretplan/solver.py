@@ -286,8 +286,8 @@ def solve_minmax(arena: Arena, terminal) -> MinMaxResult:
     ``sweeps`` counts the vertices valued at most ``values[v0]``.
     """
     n = arena.n
-    kind, start, src, wt = arena.kind, arena.start, arena.src, arena.wt
-    rev_start, rev_edge = arena.rev_start, arena.rev_edge
+    kind, src, wt = arena.kind, arena.src, arena.wt
+    last_in, prev_in = arena.last_in, arena.prev_in
     v0 = arena.v0
     values = [INF] * n  # final once settled; an agent's best offer before
     final = bytearray(n)
@@ -297,7 +297,7 @@ def solve_minmax(arena: Arena, terminal) -> MinMaxResult:
         values[v] = terminal(v)
         heap.append((values[v], v))
     heapq.heapify(heap)
-    unsettled_succs = [start[v + 1] - start[v] for v in range(n)]
+    unsettled_succs = arena.deg.tolist()
     worst = [-INF] * n  # env: max of value + weight over settled successors
     settled = bytearray(n)
     sweeps = 0
@@ -313,21 +313,22 @@ def solve_minmax(arena: Arena, terminal) -> MinMaxResult:
         sweeps += 1
         if v == v0:
             bound = d
-        for e in rev_edge[rev_start[v]:rev_start[v + 1]]:
+        e = last_in[v]
+        while e >= 0:  # the edges entering v, newest first
             u = src[e]
-            if settled[u] or final[u]:
-                continue
-            cand = d + wt[e]
-            if not kind[u]:
-                if cand < values[u]:
-                    values[u] = cand
-                    heapq.heappush(heap, (cand, u))
-            else:
-                if cand > worst[u]:
-                    worst[u] = cand
-                unsettled_succs[u] -= 1
-                if unsettled_succs[u] == 0:
-                    heapq.heappush(heap, (worst[u], u))
+            if not (settled[u] or final[u]):
+                cand = d + wt[e]
+                if not kind[u]:
+                    if cand < values[u]:
+                        values[u] = cand
+                        heapq.heappush(heap, (cand, u))
+                else:
+                    if cand > worst[u]:
+                        worst[u] = cand
+                    unsettled_succs[u] -= 1
+                    if unsettled_succs[u] == 0:
+                        heapq.heappush(heap, (worst[u], u))
+            e = prev_in[e]
     return MinMaxResult(values=values, sweeps=sweeps)
 
 
@@ -338,8 +339,8 @@ def _best_move(arena: Arena, values: list, v: int) -> int:
     progress; the ordered arena routes that move through an env vertex,
     which is not skipped.  Exact for every ``v`` valued at most the
     root's value: a move into an unsettled vertex costs more than that."""
-    start, dst, wt = arena.start, arena.dst, arena.wt
-    for e in range(start[v], start[v + 1]):
+    dst, wt, first = arena.dst, arena.wt, arena.first[v]
+    for e in range(first, first + arena.deg[v]):
         t = dst[e]
         if t != v and values[t] + wt[e] == values[v]:
             return t  # moves ascend by committed successor: first hit wins
@@ -354,8 +355,9 @@ def _reachable_decisions(arena: Arena, values: list) -> dict:
     Every vertex a play meets is valued at most the root's value: an
     agent's move pays a nonnegative weight and an env vertex takes the
     largest of its successors."""
-    kind, start, dst, sfx, x, xhat = (
-        arena.kind, arena.start, arena.dst, arena.sfx, arena.x, arena.xhat)
+    kind, first, deg, dst, sfx, x, xhat = (arena.kind, arena.first, arena.deg,
+                                           arena.dst, arena.sfx, arena.x,
+                                           arena.xhat)
     accepting = set(arena.accepting)
     decisions = {}
     seen = {(arena.v0, ())}
@@ -370,7 +372,7 @@ def _reachable_decisions(arena: Arena, values: list) -> dict:
         else:  # each successor observed the pattern at the committed state
             y = xhat[v]
             nxt = [(t, suffix + ((y, dict(arena.suffixes[sfx[t]])[y]),))
-                   for t in dst[start[v]:start[v + 1]]]
+                   for t in dst[first[v]:first[v] + deg[v]]]
         for item in nxt:
             if item not in seen:
                 seen.add(item)
@@ -389,9 +391,12 @@ class QuotientGame:
     its value V: V <= B, or no vertex has f <= V + U, so that the cut is
     already the cut at V + U.  The next B is the larger of the midpoint of
     B and V and the next f in the heap less U, capped at V and at
-    U - h(v0).  Vertex ids are stable across rounds, so the seeds of the
-    accepting vertices carry over by id, and one ``BestResponse`` serves
-    every round and every regret solve."""
+    U - h(v0).  The build grows one arena in place, and each round solves
+    it before the next extends it.  Vertex ids are stable across rounds,
+    so the seeds of the accepting vertices carry over by id, and one
+    ``BestResponse`` serves every round and every regret solve.  A
+    complete build drops its search state, so the game then keeps only
+    the arena."""
 
     def __init__(self, m: Pkwts, a: Dfa):
         self.m = m
@@ -442,7 +447,7 @@ class QuotientGame:
             self._br = BestResponse(self.m, self.a, self._build)
         br, seeds, rounds, b = self._br, {}, [], 0
         while True:
-            arena = result = None  # free the last round's before the next
+            result = None  # free the last round's values before the next
             arena = self._build.extend(b + u)
             suffixes, sfx = arena.suffixes, arena.sfx
             # most-observed rows first, so that a partly observed row finds
@@ -453,19 +458,19 @@ class QuotientGame:
                 seeds[v] = -br(suffixes[sfx[v]])
             result = solve_minmax(arena, seeds.__getitem__)
             value, f = result.values[arena.v0], self._build.next_f
-            rounds.append(f"{b + u}:{arena.n}:{value}")
+            rounds.append((b + u, arena.n, value))
             if value <= b or f is None or f > value + u:
                 break
             if b >= top:
                 raise SolverInvariantError(
                     f"regret cut at {b + u} is worth {value} > {b}")
             b = min(value, top, max(-(-(b + value) // 2), f - u))
-        return _positional("regret", arena, result, u, b + u,
-                           f", {br.searches} best-response searches,"
-                           f" {br.derived} derived, {br.settled} search"
-                           f" vertices settled, rounds {' '.join(rounds)},"
-                           f" {self._build.h_settled} h-search and"
-                           f" {self.u_settled} U-search vertices settled")
+        return _positional("regret", arena, result, u, b + u, lambda: (
+            f", {br.searches} best-response searches, {br.derived} derived,"
+            f" {br.settled} search vertices settled, rounds"
+            f" {' '.join('%s:%s:%s' % r for r in rounds)},"
+            f" {self._build.h_settled} h-search and {self.u_settled}"
+            f" U-search vertices settled"))
 
     def worst_case(self):
         u = self.bounds()[0]
@@ -494,11 +499,15 @@ def solve_worst_case(m: Pkwts, a: Dfa, game: QuotientGame | None = None):
 
 
 def _positional(objective: str, arena: Arena, result: MinMaxResult,
-                u, limit, note: str = ""):
-    """The solved game's strategy from the initial vertex, and its value."""
-    log.debug("%s game: U %s, limit %s, %d vertices, %d edges, %d settled,"
-              " %d distinct rows%s", objective, u, limit, arena.n,
-              len(arena.dst), result.sweeps, len(arena.suffixes), note)
+                u, limit, note=None):
+    """The solved game's strategy from the initial vertex, and its value.
+    ``note`` returns the end of the debug line; it is called only when
+    debug logging is on."""
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("%s game: U %s, limit %s, %d vertices, %d edges,"
+                  " %d settled, %d distinct rows%s", objective, u, limit,
+                  arena.n, len(arena.dst), result.sweeps,
+                  len(arena.suffixes), note() if note else "")
     value = result.values[arena.v0]
     if value == INF:
         raise UnrealizableTask("no strategy wins in every compatible environment")

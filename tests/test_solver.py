@@ -2,6 +2,7 @@
 
 import hashlib
 import heapq
+import inspect
 import json
 import logging
 import math
@@ -508,9 +509,15 @@ def test_grid_plus_2_regret_matches_the_cut_at_2u_minus_h0():
 
 def test_extended_build_matches_fresh_builds(dfa):
     # one build extended through increasing limits keeps, at every limit,
-    # the vertex tuples, rows and accepting set of a fresh build there:
-    # the limits run through each f the heap offers, up to the regret
-    # game's largest limit 2U - h(v0), and then INF
+    # the vertex tuples, rows, degrees, in-edges and accepting set of a
+    # fresh build there: the limits run through each f the heap offers,
+    # up to the regret game's largest limit 2U - h(v0), and then INF.
+    # The storage is shared across rounds, and its rows are in expansion
+    # order, so in-edges are compared as sets of (source tuple, weight)
+    def in_edges(arena, v):
+        return sorted((arena.vertex(arena.src[e]), arena.wt[e])
+                      for e in in_slots(arena, v))
+
     layers = 0
     for m, a in cut_cases(dfa):
         u, h0 = sv.QuotientGame(m, a).bounds()
@@ -523,11 +530,30 @@ def test_extended_build_matches_fresh_builds(dfa):
             assert [arena.vertex(v) for v in range(arena.n)] == \
                 [fresh.vertex(v) for v in range(fresh.n)]
             assert list(arena.fwd) == list(fresh.fwd)
+            assert arena.deg == fresh.deg
+            assert all(in_edges(arena, v) == in_edges(fresh, v)
+                       for v in range(arena.n))
             assert arena.accepting == fresh.accepting
             layers += 1
             assert build.next_f is None or build.next_f > limit
             limit = build.next_f
     assert layers > 900, layers
+
+
+def test_complete_build_keeps_only_its_arena(dfa):
+    # once every vertex is expanded, the build drops its search state (the
+    # generator that holds the heap, g, the agent and suffix lookups and
+    # the suffix rows); a partial build still holds it
+    for m, a in (case_study(), (fixtures.t3(), dfa)):
+        build = ar.CutBuild(m, a)
+        build.extend(build.next_f)
+        assert build.next_f is not None
+        assert any(map(inspect.isgenerator, vars(build).values()))
+        arena = build.extend(INF)
+        assert build.next_f is None
+        assert not any(map(inspect.isgenerator, vars(build).values()))
+        assert build.extend(INF) is arena
+        assert arena.n == ar.build_arena(m, a).n
 
 
 def test_best_case_policy_runs(t3, dfa):
@@ -836,7 +862,18 @@ def test_regret_debug_line_reports_best_response_paths(caplog):
 
 
 def slots(arena, v):
-    return range(arena.start[v], arena.start[v + 1])
+    """The slots of v's row: a run from its first slot, as long as its
+    degree."""
+    return range(arena.first[v], arena.first[v] + arena.deg[v])
+
+
+def in_slots(arena, v):
+    """The slots of v's in-edge list, newest first."""
+    e, found = arena.last_in[v], []
+    while e >= 0:
+        found.append(e)
+        e = arena.prev_in[e]
+    return found
 
 
 def id_of(arena, vt):
