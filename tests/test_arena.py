@@ -339,13 +339,13 @@ def test_id_of_is_strict(t3_arena):
         id_of(t3_arena, (ar.ENV, 0, 0, (), 3))
 
 
-def test_in_edge_index_lists_each_incoming_slot_once(t3_arena, dfa):
+def test_in_edge_index_lists_each_incoming_slot_once(t3_arena):
     # each vertex's in-edge list gives exactly the slots whose target it
     # is, each once, in both builds: the ordered arenas of T3 and FIG1,
     # and the case study's cut build at each f it offers up to the regret
     # game's largest limit 2U - h(v0), then INF.  The lists run newest
-    # first, not by source.  Each row, likewise, is exactly the run of
-    # slots whose source is its vertex
+    # slot first, not by source.  Each row, likewise, is exactly the run
+    # of slots whose source is its vertex
     def check(arena):
         entering = [[] for _ in range(arena.n)]
         leaving = [[] for _ in range(arena.n)]
@@ -353,7 +353,7 @@ def test_in_edge_index_lists_each_incoming_slot_once(t3_arena, dfa):
             entering[v].append(e)
             leaving[u].append(e)
         for v in range(arena.n):
-            assert sorted(in_slots(arena, v)) == entering[v], v
+            assert in_slots(arena, v) == entering[v][::-1], v
             assert list(slots(arena, v)) == leaving[v], v
 
     fig1 = (grid_compile(fixtures.FIG1_GRID),
