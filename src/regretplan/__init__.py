@@ -17,7 +17,6 @@ from .model import (
     model_from_json,
     model_to_json,
     product,
-    skeleton,
 )
 from .oracle import brute_force_optimal_regret, check_regret_bound
 from .solver import (
@@ -64,7 +63,6 @@ __all__ = [
     "run_benchmark",
     "sample_env",
     "size_bound",
-    "skeleton",
     "solve_regret",
     "solve_worst_case",
     "to_dfa",

@@ -129,17 +129,6 @@ def skeleton_successors(m: Pkwts) -> tuple:
                  for family in m.patterns)
 
 
-def skeleton(m: Pkwts) -> Wts:
-    """Most permissive world: union of all patterns at each state."""
-    return Wts(
-        n=m.n,
-        initial=m.initial,
-        successors=skeleton_successors(m),
-        weights=m.weights,
-        labels=m.labels,
-    )
-
-
 def compatible_envs(m: Pkwts, cap: int = DEFAULT_UNKNOWN_CAP):
     """Iterate over every compatible environment, lexicographic over
     pattern indices in ascending state order.  The cap is checked at the

@@ -46,13 +46,17 @@ Why this solves the regret game:
    reaches acceptance from it.  It runs on the reduced weights
    w(x, y) + h(y, q') - h(x, q), which are nonnegative because h is
    consistent; a path's reduced cost is its cost plus h at its end minus
-   h(v0), and h is 0 at acceptance, so the cheapest accepting vertex
-   settles first and its reduced distance plus h(v0) is the value.  The
-   worlds consistent with a row are the union, over the patterns of any
-   one unexplored state, of the worlds of the row that fixes it, so the
-   row's best response is the least of theirs.  The regret solve
-   evaluates its seeds from the most-observed row down, so most partly
-   observed rows find those rows memoized and need no search.
+   h(v0), and h is 0 at acceptance, so accepting vertices settle in
+   nondecreasing cost, each at its reduced distance plus h(v0).  The
+   search carries the patterns still possible at each state as masks, and
+   a move keeps only the patterns that allow it, so a path is a path in
+   every world its masks allow, and each world's cheapest satisfying
+   path is a path whose masks allow that world.  So a row's best response
+   is the cost of the cheapest accepting vertex whose masks meet the
+   row's worlds, that is, contain every pattern the row observed; one
+   search serves every row, in any order.  It stops at the first
+   accepting vertex whose masks allow every world, at U (item 6), since
+   that vertex serves every row and br(row) <= U.
 5. Stopping the solve past the root's value is exact.  An agent's move
    pays a nonnegative weight and an env vertex takes the largest of its
    successors, so no vertex on a play of the root's strategy is valued
@@ -170,28 +174,32 @@ class BestResponse:
     """Cheapest satisfying cost over the environments consistent with a
     knowledge record: ``min over worlds of opt(world)``, exactly.
 
-    One ``model.dijkstra`` over search vertices ``(x, q, row)``, where
-    ``row[j]`` is the pattern index of the j-th unknown state: observed,
-    or -1 until a path first leaves that state.  Leaving it branches over
-    its patterns and fixes the pick, so every search path lives in one
-    world, and each world's cheapest satisfying path is a search path.
-    The search is A*: it runs on weights reduced by ``h`` (``_to_go``),
-    w(x, y) + h(y, q') - h(x, q) >= 0, and
-    skips a successor with h = INF, dead automaton states included, from
-    which no world accepts.  Accepting vertices end a path, and the
-    search stops at the first one settled, the cheapest; the value is its
-    reduced distance plus h(v0), and INF without a search when h(v0) is.
-    The value depends on which patterns were observed, not in what order,
-    so the memo is keyed by the order-free ``row``.
+    One A* search per game over vertices ``(x, q, masks)``.  ``masks`` has
+    one bit per (unknown state, pattern), the patterns still possible,
+    starting from all of them, and bit 0 for the one pattern of every
+    known state.  Leaving x for y keeps only x's patterns that contain y,
+    and a move that would leave x no pattern is dropped, so nothing
+    forks: a search path is a path in every world its masks allow, and
+    each world's cheapest satisfying path is a search path whose masks
+    allow it.  The search runs on weights reduced by ``h`` (``_to_go``),
+    w(x, y) + h(y, q') - h(x, q) >= 0, and skips a successor with
+    h = INF, dead automaton states included, from which no world accepts.
+    Accepting vertices end a path.  Each one settled is a record (cost,
+    masks), its reduced distance plus h(v0); records come in
+    nondecreasing cost, and one whose masks an earlier record's contain
+    is dropped: every row it serves, the earlier one serves as cheaply.
 
-    A row's completions split by the pattern of any one unexplored state
-    j, so its value is the least value of the rows that fix j.  Before it
-    searches, a call looks for a j whose rows are all memoized and takes
-    that least value instead.  It looks one level only: recursing over
-    every completion would enumerate the worlds the lazy search avoids.
-    ``searches`` and ``derived`` count the two paths, and ``settled`` the
-    vertices the searches settle.  h and the letter index are read from
-    ``build``, the game's ``CutBuild``, or from a new one when not given.
+    A row's best response is the cost of the first record whose masks
+    contain every pattern the row observed: that record's worlds meet the
+    row's, and a cheaper record meeting them would come first.  The
+    search stops at the first record that allows every world, at U: it
+    serves every row, so no later record is read.  With no such record it
+    runs to exhaustion, and a row no record serves is worth INF.  The
+    search runs once, at the first call, so values and counts do not
+    depend on the order of the calls.  ``searches`` (0 or 1), ``records``
+    and ``settled``, the vertices the search settles, report it.  h and
+    the letter index are read from ``build``, the game's ``CutBuild``, or
+    from a new one when not given.
     """
 
     def __init__(self, m: Pkwts, a: Dfa, build: CutBuild | None = None):
@@ -200,62 +208,60 @@ class BestResponse:
         if build is None:
             build = CutBuild(m, a)
         self.lab, self.h = build.lab, build.h
-        unknown = m.unknown_states
-        self.slot = {x: j for j, x in enumerate(unknown)}
-        self.n_patterns = [len(m.patterns[x]) for x in unknown]
-        self.memo = {}
+        # own[x]: the bits of state x's patterns, from bit[x] up
+        self.bit, self.own, self.full = [0] * m.n, [1] * m.n, 1
+        for x in m.unknown_states:
+            self.bit[x] = self.full.bit_length()
+            self.own[x] = ((1 << len(m.patterns[x])) - 1) << self.bit[x]
+            self.full |= self.own[x]
+        self.succ, self.moves = skeleton_successors(m), {}
+        self.records = None
         self.searches = 0
-        self.derived = 0
         self.settled = 0
 
     def __call__(self, suffix) -> object:
-        row = [-1] * len(self.slot)
-        for x, o in suffix:
-            row[self.slot[x]] = self.m.patterns[x].index(tuple(o))
-        row = tuple(row)
-        if row not in self.memo:
-            self.memo[row] = self._value(row)
-        return self.memo[row]
+        if self.records is None:
+            self.records = self._search()
+        row = sum(1 << (self.bit[x] + self.m.patterns[x].index(tuple(o)))
+                  for x, o in suffix)
+        return next((cost for cost, masks in self.records
+                     if masks & row == row), INF)
 
-    def _value(self, row):
-        memo = self.memo
-        for j, k in enumerate(self.n_patterns):
-            if row[j] < 0:
-                split = [row[:j] + (p,) + row[j + 1:] for p in range(k)]
-                if all(r in memo for r in split):
-                    self.derived += 1
-                    return min(memo[r] for r in split)
+    def _search(self) -> list:
         self.searches += 1
-        m, a = self.m, self.a
+        m, a, records = self.m, self.a, []
         q0 = a.trans[a.initial][self.lab[m.initial]]
         h0 = self.h[m.initial * a.n + q0]
         if h0 == INF:
-            return INF
-        for (_, q, _), d in dijkstra(self, (m.initial, q0, row)):
+            return records
+        for (_, q, masks), d in dijkstra(self, (m.initial, q0, self.full)):
             self.settled += 1
-            if q in a.accepting:
-                return d + h0
-        return INF
+            if q in a.accepting and all(masks & r != masks for _, r in records):
+                records.append((d + h0, masks))
+                if masks == self.full:
+                    break
+        return records
 
     def get(self, u, default=None):
         """Search successors of ``u`` with their reduced weights."""
-        x, q, row = u
+        x, q, masks = u
         if q in self.a.accepting:
             return
         h, nq, trans, weights = self.h, self.a.n, self.a.trans[q], self.m.weights
-        hu = h[x * nq + q]
-        family, j = self.m.patterns[x], self.slot.get(x)
-        if j is not None and row[j] < 0:
-            picks = [(p, row[:j] + (i,) + row[j + 1:])
-                     for i, p in enumerate(family)]
-        else:
-            picks = [(family[0 if j is None else row[j]], row)]
-        for pattern, nrow in picks:
-            for y in pattern:
+        hu, own = h[x * nq + q], self.own[x]
+        moves = self.moves.get(x)
+        if moves is None:  # (y, masks kept), built at x's first expansion
+            family, b, others = self.m.patterns[x], self.bit[x], self.full & ~own
+            self.moves[x] = moves = [(y, others | sum(
+                1 << (b + i) for i, p in enumerate(family) if y in p))
+                for y in self.succ[x]]
+        for y, keep in moves:
+            nmasks = masks & keep
+            if nmasks & own:
                 q2 = trans[self.lab[y]]
                 hv = h[y * nq + q2]
                 if hv < INF:
-                    yield (y, q2, nrow), weights[(x, y)] + hv - hu
+                    yield (y, q2, nmasks), weights[(x, y)] + hv - hu
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +456,9 @@ class QuotientGame:
             result = None  # free the last round's values before the next
             arena = self._build.extend(b + u)
             suffixes, sfx = arena.suffixes, arena.sfx
-            # most-observed rows first, so that a partly observed row finds
-            # the rows of its completions memoized; ties keep vertex order
-            new = sorted((v for v in arena.accepting if v not in seeds),
-                         key=lambda v: -len(suffixes[sfx[v]]))
-            for v in new:
-                seeds[v] = -br(suffixes[sfx[v]])
+            for v in arena.accepting:
+                if v not in seeds:
+                    seeds[v] = -br(suffixes[sfx[v]])
             result = solve_minmax(arena, seeds.__getitem__)
             value, f = result.values[arena.v0], self._build.next_f
             rounds.append((b + u, arena.n, value))
@@ -466,8 +469,9 @@ class QuotientGame:
                     f"regret cut at {b + u} is worth {value} > {b}")
             b = min(value, top, max(-(-(b + value) // 2), f - u))
         return _positional("regret", arena, result, u, b + u, lambda: (
-            f", {br.searches} best-response searches, {br.derived} derived,"
-            f" {br.settled} search vertices settled, rounds"
+            f", {br.searches} best-response searches,"
+            f" {len(br.records or ())} records, {br.settled} search vertices"
+            f" settled, rounds"
             f" {' '.join('%s:%s:%s' % r for r in rounds)},"
             f" {self._build.h_settled} h-search and {self.u_settled}"
             f" U-search vertices settled"))

@@ -14,6 +14,7 @@ from regretplan.errors import ArenaTooLarge
 from regretplan.formula import parse, to_dfa
 from regretplan.grid import grid_compile
 from regretplan.model import INF
+from test_model import skeleton
 from test_solver import (case_study, edge_slot, id_of, in_slots,
                          multi_goal_model, random_models, reference_minmax,
                          regret_terminal, slots, zero)
@@ -107,7 +108,7 @@ def test_fully_known_arena_mirrors_product(dfa):
         labels=(frozenset(), frozenset(), frozenset({"target"})),
     )
     arena = ar.build_ordered_arena(m, dfa)
-    prod = md.product(md.skeleton(m), dfa)
+    prod = md.product(skeleton(m), dfa)
     agent_states = {
         (arena.x[v], arena.q[v]) for v in range(arena.n) if arena.is_agent(v)
     }

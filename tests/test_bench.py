@@ -13,6 +13,7 @@ from regretplan import solver as sv
 from regretplan.execute import regret_of, run
 from regretplan.formula import parse, to_dfa
 from regretplan.grid import grid_compile
+from test_model import skeleton
 
 
 DFA = to_dfa(parse("F target"), {"target"})
@@ -122,7 +123,7 @@ def test_every_name_perfbench_reaches_exists():
 
 def test_generate_connected_skeleton():
     m = bench.generate(bench.GenParams(n_states=10, n_possible=2, seed=5))
-    sk = md.skeleton(m)
+    sk = skeleton(m)
     dist = dict(md.dijkstra(
         {x: tuple((y, 1) for y in sk.successors[x]) for x in range(m.n)}, 0))
     assert set(dist) == set(range(m.n))

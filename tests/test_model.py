@@ -41,14 +41,21 @@ def fully_known_line():
 # ---------------------------------------------------------------------------
 # skeleton
 
+def skeleton(m):
+    """Most permissive world: union of all patterns at each state."""
+    return md.Wts(n=m.n, initial=m.initial,
+                  successors=md.skeleton_successors(m), weights=m.weights,
+                  labels=m.labels)
+
+
 def test_skeleton_of_fully_known_is_identity(t3):
     m = fully_known_line()
-    sk = md.skeleton(m)
+    sk = skeleton(m)
     assert sk.successors == tuple(m.patterns[x][0] for x in range(m.n))
 
 
 def test_skeleton_unions_patterns(t3):
-    sk = md.skeleton(t3)
+    sk = skeleton(t3)
     assert sk.successors[1] == (0, 3)
 
 
@@ -60,7 +67,7 @@ def test_skeleton_union_of_overlapping_patterns():
         weights={(0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 0): 1},
         labels=(frozenset(), frozenset(), frozenset()),
     )
-    assert md.skeleton(m).successors[1] == (0, 2)
+    assert skeleton(m).successors[1] == (0, 2)
 
 
 # ---------------------------------------------------------------------------

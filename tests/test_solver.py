@@ -22,7 +22,7 @@ from regretplan.errors import SearchSpaceTooLarge, StuckNoPath, UnrealizableTask
 from regretplan.execute import regret_of, run
 from regretplan.formula import parse, to_dfa
 from test_grid import grid_plus
-from test_model import refine
+from test_model import refine, skeleton
 
 INF = math.inf
 
@@ -83,32 +83,39 @@ def test_best_response_fully_known(dfa):
     assert sv.BestResponse(m, dfa)(()) == 5
 
 
-def test_best_response_stops_at_first_accepting_vertex(dfa):
-    # unknown state 1 leads to the target (cost 2) or to a 20-cost detour
-    # through 3 and 4; the search must not expand past distance 2
+def test_best_response_stops_at_the_all_worlds_record(dfa):
+    # unknown state 1 leads to the target (cost 2) in one pattern, and to
+    # a 20-cost detour through 3 and 4 in both, so U = 22; a 31-cost
+    # route through 5 is never reached: the search stops at the record
+    # that allows every world, and nothing settles past it
     m = md.Pkwts(
-        n=5,
+        n=6,
         initial=0,
-        patterns=(((1,),), ((2,), (3,)), ((2,),), ((4,),), ((2,),)),
+        patterns=(((1, 5),), ((2, 3), (3,)), ((2,),), ((4,),), ((2,),),
+                  ((2,),)),
         weights={(0, 1): 1, (1, 2): 1, (1, 3): 1, (3, 4): 10, (4, 2): 10,
-                 (2, 2): 0},
+                 (2, 2): 0, (0, 5): 30, (5, 2): 1},
         labels=(frozenset(), frozenset(), frozenset({"target"}),
-                frozenset(), frozenset()),
+                frozenset(), frozenset(), frozenset()),
     )
-    # search vertex (x, q, row) -> distance, keyed by x and row
-    distance = {(0, (-1,)): 0, (1, (-1,)): 1, (2, (0,)): 2, (3, (1,)): 2,
-                (4, (1,)): 12, (2, (1,)): 22}
+    assert sv.QuotientGame(m, dfa).bounds()[0] == 22
+    # search vertex -> distance, keyed by x and whether masks are full
+    distance = {(0, True): 0, (1, True): 1, (2, False): 2, (3, True): 2,
+                (4, True): 12, (2, True): 22}
 
     class Recording(sv.BestResponse):
         def get(self, u, default=None):
-            self.expanded.append(distance[u[0], u[2]])
+            self.expanded.append(distance[u[0], u[2] == self.full])
             return super().get(u, default)
 
     br = Recording(m, dfa)
     br.expanded = []
     assert br(()) == 2
-    assert br.expanded and max(br.expanded) <= 2
-    assert sv.BestResponse(m, dfa)(((1, (3,)),)) == 22
+    assert br(((1, (3,)),)) == 22
+    only_first = br.full & ~br.own[1] | 1 << br.bit[1]
+    assert br.records == [(2, only_first), (22, br.full)]
+    assert sorted(br.expanded) == [0, 1, 2, 2, 12]
+    assert (br.searches, br.settled) == (1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +591,7 @@ def reference_online_decide(m, a, x, q, suffix):
     shortest path: the chain the policy once rebuilt at every step."""
     if q in a.accepting:
         return None
-    t = md.skeleton(refine(m, suffix))
+    t = skeleton(refine(m, suffix))
     lab = [a.letter_index(t.labels[y]) for y in range(t.n)]
     s0 = (t.initial, a.trans[a.initial][lab[t.initial]])
     adj, queue = {}, [s0]
@@ -728,7 +735,7 @@ def test_best_response_never_mixes_patterns_from_two_worlds():
     # reports a finite cost
     m = hub_model()
     dfa = to_dfa(parse("F a & F b"), {"a", "b"})
-    assert md.shortest_satisfying_cost(md.skeleton(m), dfa) == 4
+    assert md.shortest_satisfying_cost(skeleton(m), dfa) == 4
     assert sv.BestResponse(m, dfa)(()) == INF
 
 
@@ -782,11 +789,9 @@ def test_best_response_matches_world_enumeration(dfa):
         cand = bench._candidate(Random(seed), params)
         if cand is not None:
             cases.append((cand, dfa))
-    # queried twice on fresh instances: most-observed first, a partly
-    # observed row is derived from its memoized completions; least-observed
-    # first, every row is searched
+    # queried twice on fresh instances, most-observed and least-observed
+    # first
     assert len(cases) > 60
-    derived = 0
     for m, a in cases:
         arena = ar.build_ordered_arena(m, a)
         suffixes = {arena.suffixes[arena.sfx[v]] for v in arena.accepting}
@@ -795,49 +800,71 @@ def test_best_response_matches_world_enumeration(dfa):
             br = sv.BestResponse(m, a)
             for suffix in sorted(suffixes, key=lambda s: (sign * len(s), s)):
                 assert br(suffix) == expected[suffix]
-            assert br.searches + br.derived == len(br.memo)
-            if sign == 1:
-                assert br.derived == 0
-            derived += br.derived
-    assert derived > 0
+            assert br.searches == 1
 
 
-def test_best_response_memo_ignores_exploration_order():
+def test_best_response_ignores_exploration_order():
     m, a = case_study()
     suffix = tuple((x, m.patterns[x][-1]) for x in m.unknown_states)
     assert len(suffix) >= 2
     br = sv.BestResponse(m, a)
     assert br(suffix) == br(suffix[::-1]) == reference_best_response(m, a, suffix)
-    assert len(br.memo) == 1
+    assert br.searches == 1
 
 
-def test_case_study_regret_searches_only_complete_rows(monkeypatch):
-    # each round seeds its new accepting vertices most-observed row first,
-    # so a row is searched only when, for each of its unexplored states,
-    # some completion is not memoized.  The two rounds keep 28, then 55
-    # accepting vertices: of the 35 searched rows, 13 observe all 4
-    # unknown states, and 22 are partial rows whose completions no round
-    # had kept yet, such as (-1, -1, -1, -1), the row of a blind play.
-    # Only best-response searches count: the U search uses dijkstra too
-    rows = []
+def test_case_study_regret_runs_one_best_response_search(monkeypatch):
+    # the regret game searches once, from the all-patterns masks, and
+    # its rounds and a repeated solve read that one table.  Only
+    # best-response searches count: the U search uses dijkstra too
+    sources = []
 
     def counting(adj, source):
-        if not isinstance(adj, sv.BestResponse):
-            return md.dijkstra(adj, source)
-        row = source[2]
-        rows.append(row)
-        for j, k in enumerate(adj.n_patterns):
-            if row[j] < 0:
-                completions = [row[:j] + (p,) + row[j + 1:] for p in range(k)]
-                assert not all(r in adj.memo for r in completions), (row, j)
+        if isinstance(adj, sv.BestResponse):
+            sources.append((source, adj.full))
         return md.dijkstra(adj, source)
 
     monkeypatch.setattr(sv, "dijkstra", counting)
     m, a = case_study()
-    assert sv.solve_regret(m, a)[1] == 4
-    assert len(rows) == 35
-    assert sum(-1 not in row for row in rows) == 13
-    assert (-1, -1, -1, -1) in rows
+    game = sv.QuotientGame(m, a)
+    assert sv.solve_regret(m, a, game)[1] == 4
+    assert sv.solve_regret(m, a, game)[1] == 4
+    assert len(sources) == 1
+    (x, _, masks), full = sources[0]
+    assert (x, masks) == (m.initial, full)
+
+
+def test_best_response_records_on_the_cut_cases(dfa):
+    # records come in nondecreasing cost, none contained in an earlier
+    # one; the last allows every world and costs U, or, where U is INF,
+    # none does and the search settles every vertex it can reach.  Rows
+    # queried in either order give the same values and the same work
+    exhausted = 0
+    for m, a in cut_cases(dfa):
+        u, h0 = sv.QuotientGame(m, a).bounds()
+        arena = ar.build_arena(m, a)
+        rows = sorted({arena.suffixes[arena.sfx[v]] for v in arena.accepting})
+        answers = []
+        for order in (rows, rows[::-1]):
+            br = sv.BestResponse(m, a)
+            values = {row: br(row) for row in order}
+            answers.append((values, br.settled))
+            br(())  # searches where no row was queried
+            records = br.records
+            assert all(c <= d for (c, _), (d, _) in zip(records, records[1:]))
+            assert all(masks & earlier != masks
+                       for i, (_, masks) in enumerate(records)
+                       for _, earlier in records[:i])
+            if u < INF:
+                assert records[-1] == (u, br.full), m
+            else:
+                assert all(masks != br.full for _, masks in records)
+                q0 = a.trans[a.initial][br.lab[m.initial]]
+                reachable = (0 if h0 == INF else
+                             len(list(md.dijkstra(br, (m.initial, q0, br.full)))))
+                assert br.settled == reachable
+                exhausted += h0 < INF
+        assert answers[0] == answers[1]
+    assert exhausted >= 1, exhausted
 
 
 def test_regret_debug_line_reports_best_response_paths(caplog):
@@ -853,8 +880,8 @@ def test_regret_debug_line_reports_best_response_paths(caplog):
     regret, worst = (r.getMessage() for r in caplog.records)
     assert regret.startswith(
         "regret game: U 22, limit 26, 1340 vertices, 2629 edges")
-    assert regret.endswith(", 35 best-response searches, 20 derived,"
-                           " 1027 search vertices settled,"
+    assert regret.endswith(", 1 best-response searches, 6 records,"
+                           " 208 search vertices settled,"
                            " rounds 22:531:8 26:1340:4,"
                            " 76 h-search and 45 U-search vertices settled")
     assert worst.startswith("worst game: U 22, limit 22, 531 vertices")
@@ -1207,7 +1234,7 @@ def test_to_go_is_a_consistent_potential(dfa):
               if m is not None for a in tasks]
     assert len(cases) > 100
     for m, a in cases:
-        h, sk = ar.CutBuild(m, a).h, md.skeleton(m)
+        h, sk = ar.CutBuild(m, a).h, skeleton(m)
         for x in range(m.n):
             for q in range(a.n):
                 if q in a.accepting:
@@ -1246,7 +1273,7 @@ def test_to_go_is_exact(dfa):
     for m, a in cases:
         build = ar.CutBuild(m, a)
         forward = md.Product(initial=None,
-                             successors=md.skeleton(m).successors,
+                             successors=skeleton(m).successors,
                              weights=m.weights, lab=build.lab, dfa=a)
         reachable = 0
         for x in range(m.n):
